@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
       opts.blocking = preemptive ? 0.0 : max_sec_wcet;
       // Full non-preemptive model: cores whose RT tasks cannot absorb the
       // blocking are excluded (otherwise the RT side misses deadlines — see
-      // EXPERIMENTS.md).
+      // HydraOptions::non_preemptive_security in core/hydra.h).
       opts.non_preemptive_security = !preemptive;
       const auto allocation = core::HydraAllocator(opts).allocate(instance);
       if (!allocation.feasible) {

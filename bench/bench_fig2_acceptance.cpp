@@ -17,7 +17,7 @@
 // HYDRA accepts more — yet its Fig. 2 shows positive values on a 0–100 axis
 // and the text says HYDRA outperforms.  We plot
 // (δ_HYDRA − δ_SingleCore)/δ_HYDRA × 100 % (positive = HYDRA better, bounded
-// by 100), the only reading consistent with the figure; see EXPERIMENTS.md.
+// by 100), the only reading consistent with the figure.
 //
 // Multi-process fan-out: `--shard i/N` restricts the run to the cells the
 // deterministic cell-key partition assigns to shard i; the N shard outputs

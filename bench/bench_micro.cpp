@@ -12,7 +12,7 @@
 #include "core/optimal.h"
 #include "core/period_adaptation.h"
 #include "core/single_core.h"
-#include "exp/engine.h"
+#include "exp/sweep.h"
 #include "gen/randfixedsum.h"
 #include "gen/synthetic.h"
 #include "gen/uav.h"
@@ -211,37 +211,36 @@ static void BM_SimulateUavSecond(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateUavSecond)->Unit(benchmark::kMicrosecond);
 
-static void BM_ExplorationEngineBatch(benchmark::State& state) {
-  // A 100-instance synthetic sweep (M = 4, mid utilization) through the batch
-  // engine, Arg = worker threads.  Results are identical for every thread
-  // count (tested); this benchmark measures the wall-clock scaling, so the
-  // jobs=8 row against jobs=1 is the engine's parallel speedup.
-  hydra::exp::BatchSpec spec;
-  spec.count = 100;
-  spec.synthetic.num_cores = 4;
-  spec.total_utilization = 2.0;
+static void BM_SweepBatch(benchmark::State& state) {
+  // A 100-instance synthetic sweep (one point, M = 4, mid utilization),
+  // Arg = worker threads.  Rows are identical for every thread count
+  // (tested); this benchmark measures the wall-clock scaling, so the jobs=8
+  // row against jobs=1 is the sweep's parallel speedup.
+  hydra::exp::SweepSpec spec;
+  spec.schemes = {"hydra", "single-core"};
+  gen::SyntheticConfig config;
+  config.num_cores = 4;
+  spec.add_utilization_grid(config, {2.0});
+  spec.replications = 100;
   spec.base_seed = 9;
-
-  hydra::exp::EngineOptions options;
-  options.schemes = {"hydra", "single-core"};
-  options.jobs = static_cast<std::size_t>(state.range(0));
-  const hydra::exp::ExplorationEngine engine(options);
+  spec.jobs = static_cast<std::size_t>(state.range(0));
+  const hydra::exp::Sweep sweep(spec);
 
   std::size_t feasible = 0;
   for (auto _ : state) {
-    const auto summary = engine.run(spec);
+    const auto summary = sweep.run();
     feasible += summary.feasible;
     benchmark::DoNotOptimize(feasible);
   }
   state.counters["feasible"] =
       static_cast<double>(feasible) / static_cast<double>(state.iterations());
-  // One item = one (instance, scheme) cell, so items_per_second is the
-  // engine's cell throughput — the unit hydra_bench_diff tracks across
-  // thread counts and baselines.
+  // One item = one (instance, scheme) row, so items_per_second is the
+  // sweep's row throughput — the unit hydra_bench_diff tracks across thread
+  // counts and baselines.
   state.SetItemsProcessed(static_cast<std::int64_t>(
-      state.iterations() * spec.count * options.schemes.size()));
+      state.iterations() * spec.replications * spec.schemes.size()));
 }
-BENCHMARK(BM_ExplorationEngineBatch)
+BENCHMARK(BM_SweepBatch)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

@@ -8,7 +8,7 @@
 // pluggable allocation API (core/allocator.h + core/registry.h): it builds
 // the paper's scheme line-up, runs `evaluate_scheme` on each, and collects
 // the comparison.  Batch sweeps over many instances — with worker threads and
-// streaming sinks — live in exp/engine.h.
+// streaming sinks — are exp::Sweep (exp/sweep.h).
 #pragma once
 
 #include <memory>

@@ -1,5 +1,6 @@
-// Batch specification for the exploration engine: where the instances of a
-// sweep come from and how each one is reproduced.
+// Batch specification and per-item kernel of the sweep layer: where the
+// instances of a grid point come from, how each one is reproduced, and how
+// one instance is evaluated against a scheme list.
 //
 // Two sources are supported:
 //
@@ -12,16 +13,21 @@
 //
 // `enumerate` expands a spec into lightweight per-instance descriptors;
 // `materialize` performs the actual draw/load for one descriptor.  The split
-// exists so the engine can parallelize materialization across workers while
-// the descriptor list stays cheap and ordered.
+// exists so the sweep can parallelize materialization across workers while
+// the descriptor list stays cheap and ordered.  `evaluate_batch_item` is the
+// pure function exp::Sweep fans out to its workers.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "core/allocator.h"
 #include "core/instance.h"
+#include "exp/sinks.h"
 #include "gen/synthetic.h"
 
 namespace hydra::exp {
@@ -71,7 +77,7 @@ std::vector<BatchItem> enumerate(const BatchSpec& spec);
 
 /// Result of materializing one descriptor.  `instance` is empty when the
 /// synthetic draw found no Eq.-(1)-satisfying task set (a normal outcome at
-/// extreme utilization — the engine reports it per scheme as "no-instance")
+/// extreme utilization — the sweep reports it per scheme as "no-instance")
 /// or when a file failed to load (`error` carries the reason).
 struct MaterializedItem {
   std::optional<core::Instance> instance;
@@ -81,5 +87,35 @@ struct MaterializedItem {
 };
 
 MaterializedItem materialize(const BatchSpec& spec, const BatchItem& item);
+
+/// A per-row metric hook: computed for every feasible, validated (instance,
+/// scheme) evaluation and appended to the row's `metrics` in declaration
+/// order.  `compute` MUST be a deterministic pure function of its arguments
+/// (seed any internal simulation from the instance/row data, never from a
+/// clock) — it runs on worker threads and its results are covered by the
+/// byte-identical-across-jobs guarantee.  A throwing metric turns the row
+/// into an "error" row; it does not abort the sweep.
+struct RowMetric {
+  std::string name;
+  std::function<double(const core::Instance&, const core::DesignPoint&)> compute;
+  /// Canonical description of every parameter baked into `compute`'s closure
+  /// (trials, horizons, seeds, thresholds...).  Two metrics with the same
+  /// name but different parameters produce different row bytes, and this
+  /// string is the only way the sweep's spec fingerprint — and therefore the
+  /// shard-merge and resume safety checks — can see that.  Library metric
+  /// factories (exp/metrics.h) fill it; leave "" only for parameterless
+  /// hooks.
+  std::string identity;
+};
+
+/// Evaluates every scheme on one batch item: the pure function the exp::Sweep
+/// work queue fans out to workers.  `preloaded` (optional) bypasses
+/// materialization for instance-backed items.
+/// Never throws — any failure becomes one "error" row per scheme, which is
+/// what keeps an escaped exception from terminating a worker thread.
+std::vector<BatchRow> evaluate_batch_item(
+    const BatchSpec& spec, const BatchItem& item, const core::Instance* preloaded,
+    const std::vector<std::unique_ptr<core::Allocator>>& schemes,
+    std::size_t optimal_budget, const std::vector<RowMetric>& metrics = {});
 
 }  // namespace hydra::exp

@@ -147,7 +147,7 @@ AdaptiveRowResults compute_adaptive_row(const core::Instance& instance,
   return out;
 }
 
-/// Memoized bundle lookup.  The cache is thread_local and size 1: the engine
+/// Memoized bundle lookup.  The cache is thread_local and size 1: the sweep
 /// invokes a row's metric hooks back-to-back on the worker that owns the row,
 /// so consecutive hooks hit while concurrent workers never contend.  Values
 /// are pure functions of the key, so caching cannot perturb determinism.

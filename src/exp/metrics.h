@@ -1,6 +1,6 @@
 // Reusable RowMetric hooks shared by benches and tests.
 //
-// RowMetrics (exp/engine.h) attach extra deterministic per-row measurements
+// RowMetrics (exp/batch.h) attach extra deterministic per-row measurements
 // to validated (instance, scheme) evaluations.  This header collects the
 // library-provided ones so benches declare them by name instead of re-rolling
 // the lambdas.
@@ -8,7 +8,7 @@
 
 #include <vector>
 
-#include "exp/engine.h"
+#include "exp/batch.h"
 #include "sim/attack.h"
 
 namespace hydra::exp {

@@ -70,7 +70,7 @@ void TableSink::row(const BatchRow& row) { impl_->table.add_row(row_cells(row));
 void TableSink::end() {
   if (impl_->table.num_rows() == 0) return;
   impl_->table.print(impl_->os);
-  // Reset so a subsequent engine run prints its own table instead of
+  // Reset so a subsequent sweep run prints its own table instead of
   // re-printing accumulated rows.
   impl_->table = io::Table(std::vector<std::string>(std::begin(kColumns), std::end(kColumns)));
 }

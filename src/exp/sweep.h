@@ -1,19 +1,20 @@
 // The sweep layer: one declarative SweepSpec crossing schemes × grid points ×
 // replications, evaluated as a single work-stealing job queue.
 //
-// A sweep generalizes the ExplorationEngine's one-BatchSpec run to the
-// paper-style evaluation grids (Figs. 1–3: utilization × scheme × core
-// count).  Properties the benches and the regression harness rely on:
+// The sweep is the one batch runner: every evaluation of schemes over many
+// instances — the paper-style grids (Figs. 1–3: utilization × scheme × core
+// count), corpus regressions and ablations written as scheme lists — goes
+// through it.  Properties the benches and the regression harness rely on:
 //
 //   * One queue, no per-point barrier — a worker that finishes the last
 //     instance of point 3 immediately steals an instance of point 7, so a
 //     slow cell (the exhaustive optimal at high utilization) never idles the
-//     pool the way per-point engine runs did.
+//     pool.
 //   * Determinism — every (point, instance) unit derives its seed from
 //     (base_seed, point index, instance index) alone and evaluation is pure,
 //     so the row stream is byte-identical for any --jobs value.
 //   * Stable order — rows reach the sinks point-major, instance-minor, then
-//     scheme order, via the same reorder-buffer technique as the engine.
+//     scheme order, via a reorder buffer.
 //   * Resumability — every row is stamped with a deterministic cell key
 //     ("p<point>:<label>:i<instance>").  `resume_path` points at the JSONL of
 //     a previous (possibly killed mid-run) invocation; cells whose full
@@ -35,7 +36,8 @@
 #include <vector>
 
 #include "core/instance.h"
-#include "exp/engine.h"
+#include "exp/batch.h"
+#include "exp/sinks.h"
 
 namespace hydra::exp {
 

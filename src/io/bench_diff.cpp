@@ -127,6 +127,10 @@ std::vector<std::string> bench_gate_violations(const std::vector<BenchDelta>& de
   std::vector<std::string> violations;
   if (fail_over_pct < 0.0) return violations;
   for (const auto& delta : deltas) {
+    if (delta.kind == BenchDelta::Kind::kMissing) {
+      violations.push_back(delta.name + " missing from the current run");
+      continue;
+    }
     if (delta.kind != BenchDelta::Kind::kCompared) continue;
     if (delta.time_pct > fail_over_pct) {
       violations.push_back(delta.name + " real_time " + format_delta(delta.time_pct));

@@ -9,7 +9,9 @@
 // Comparison semantics the CI gate relies on:
 //   * A benchmark present only in the current run is `_new_` — reported,
 //     never gated (there is nothing to regress against).
-//   * A benchmark present only in the baseline is `_missing_` — reported.
+//   * A benchmark present only in the baseline is `_missing_` — it fails the
+//     gate: a renamed or deleted benchmark must take its baseline row with
+//     it, or the regression it guarded would leave the gate silently.
 //   * A baseline row with a zero/absent real_time is `_incomparable_`: a
 //     0% delta would silently PASS a --fail-over gate, so it is flagged
 //     instead of compared.
@@ -66,8 +68,9 @@ std::vector<BenchDelta> diff_bench_results(
 /// The --fail-over gate: human-readable violation lines, empty when the gate
 /// passes.  `fail_over_pct < 0` disables the gate.  Violations are compared
 /// rows whose real_time grew more than `fail_over_pct` percent or whose
-/// items_per_second dropped more than `fail_over_pct` percent; new, missing,
-/// and incomparable rows never gate (but render flagged, never as 0%).
+/// items_per_second dropped more than `fail_over_pct` percent, and every
+/// missing (baseline-only) row; new and incomparable rows never gate (but
+/// render flagged, never as 0%).
 std::vector<std::string> bench_gate_violations(const std::vector<BenchDelta>& deltas,
                                                double fail_over_pct);
 

@@ -65,7 +65,8 @@ struct AcceptanceCounter {
 /// acceptance hits zero first).  NOTE: the paper prints the formula
 /// (δ_SingleCore − δ_HYDRA)/δ_SingleCore, which is negative whenever HYDRA is
 /// better while its Fig. 2 shows positive improvements — a sign typo we
-/// correct here (EXPERIMENTS.md, Fig. 2 notes).
+/// correct here (see the improvement-formula NOTE in the
+/// bench/bench_fig2_acceptance.cpp header).
 double improvement_percent(double ours, double baseline);
 
 /// Relative gap of `approx` below `reference` in percent:

@@ -1,11 +1,14 @@
 // Tests for the pluggable Allocator interface and the scheme registry.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/allocator.h"
 #include "core/hydra.h"
 #include "core/optimal.h"
 #include "core/registry.h"
 #include "core/single_core.h"
+#include "exp/sweep.h"
 #include "gen/uav.h"
 
 namespace core = hydra::core;
@@ -120,4 +123,40 @@ TEST(Allocator, SharedPartitionOverloadAgreesWithConvenienceOverload) {
   ASSERT_TRUE(pinned.feasible);
   EXPECT_DOUBLE_EQ(direct.cumulative_tightness(instance.security_tasks),
                    pinned.cumulative_tightness(instance.security_tasks));
+}
+
+TEST(AllocatorRegistry, AblationSchemesValidateOnSyntheticSweeps) {
+  // Every feasible allocation of the HYDRA ablation schemes must re-validate
+  // under the scheme's own schedulability test — exact RTA for
+  // hydra/exact-rta (Allocator::schedule_test), the Eq. (5) bound otherwise.
+  // Seeded synthetic workloads on M = 2 and 4, up to 0.95·M.
+  const auto& registry = core::AllocatorRegistry::global();
+  ASSERT_EQ(registry.make("hydra/exact-rta")->schedule_test(), core::ScheduleTest::kExactRta);
+
+  hydra::exp::SweepSpec spec;
+  spec.schemes = {"hydra/exact-rta", "hydra/first-fit", "hydra/least-loaded",
+                  "hydra/worst-tightness", "hydra/tie=lowest-index"};
+  for (const std::size_t m : {2u, 4u}) {
+    hydra::gen::SyntheticConfig config;
+    config.num_cores = m;
+    std::vector<double> utilizations;
+    for (const double phase : {0.3, 0.5, 0.7, 0.85, 0.95}) {
+      utilizations.push_back(phase * static_cast<double>(m));
+    }
+    spec.add_utilization_grid(config, utilizations);
+  }
+  spec.replications = 25;
+  spec.base_seed = 23;
+  spec.jobs = 2;
+
+  const auto summary = hydra::exp::Sweep(spec).run();
+  ASSERT_EQ(summary.rows.size(), 2u * 5u * 25u * spec.schemes.size());
+  std::size_t feasible = 0;
+  for (const auto& row : summary.rows) {
+    EXPECT_NE(row.status, "error") << row.scheme << " " << row.cell << ": " << row.note;
+    if (!row.feasible) continue;
+    ++feasible;
+    EXPECT_TRUE(row.validated) << row.scheme << " " << row.cell << ": " << row.note;
+  }
+  EXPECT_GT(feasible, summary.rows.size() / 2);
 }

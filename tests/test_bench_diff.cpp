@@ -1,7 +1,8 @@
 // Tests for the benchmark comparison/gate library behind hydra_bench_diff:
 // zero/missing baselines must surface as incomparable/new rows (never a fake
-// 0.0% that slides past the gate), and throughput collapses must gate even
-// when wall time looks flat.
+// 0.0% that slides past the gate), baseline rows absent from the current run
+// must gate, and throughput collapses must gate even when wall time looks
+// flat.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -88,7 +89,11 @@ TEST(BenchDiff, ZeroBaselineIsIncomparableNotZeroPercent) {
   EXPECT_EQ(io::render_bench_diff_markdown(deltas).find("0.0%"), std::string::npos);
 }
 
-TEST(BenchDiff, NewAndMissingRowsNeverGate) {
+TEST(BenchDiff, NewRowsNeverGateButMissingRowsDo) {
+  // A renamed benchmark shows up as one new and one missing row.  The new
+  // row has nothing to regress against; the missing one means the baseline
+  // still names a benchmark the suite no longer runs, so it gates — the
+  // regression it guarded must not leave the gate silently.
   const auto baseline = parse(bench_json(bench_row("BM_Old", 100.0, -1.0, true)));
   const auto current = parse(bench_json(bench_row("BM_New", 9000.0, -1.0, true)));
   const auto deltas = io::diff_bench_results(baseline, current);
@@ -99,7 +104,13 @@ TEST(BenchDiff, NewAndMissingRowsNeverGate) {
   ASSERT_NE(dropped, nullptr);
   EXPECT_EQ(added->kind, io::BenchDelta::Kind::kNew);
   EXPECT_EQ(dropped->kind, io::BenchDelta::Kind::kMissing);
-  EXPECT_TRUE(io::bench_gate_violations(deltas, 0.0).empty());
+  const auto violations = io::bench_gate_violations(deltas, 0.0);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_NE(violations[0].find("BM_Old"), std::string::npos);
+  EXPECT_NE(violations[0].find("missing"), std::string::npos);
+  // A new row alone passes, and fail_over < 0 stays report-only.
+  EXPECT_TRUE(io::bench_gate_violations(io::diff_bench_results({}, current), 0.0).empty());
+  EXPECT_TRUE(io::bench_gate_violations(deltas, -1.0).empty());
   const std::string md = io::render_bench_diff_markdown(deltas);
   EXPECT_NE(md.find("_new_"), std::string::npos);
   EXPECT_NE(md.find("_missing_"), std::string::npos);

@@ -8,8 +8,9 @@
 // Options:
 //   --markdown        emit a GitHub-flavored table (for $GITHUB_STEP_SUMMARY)
 //   --fail-over PCT   exit 4 if any benchmark's real_time regressed by more
-//                     than PCT percent, or its items_per_second dropped by
-//                     more than PCT percent (absent = report only, exit 0)
+//                     than PCT percent, its items_per_second dropped by more
+//                     than PCT percent, or a baseline benchmark is missing
+//                     from the current run (absent = report only, exit 0)
 //
 // Exit codes: 0 compared (no enforced regression), 4 regression over the
 // --fail-over threshold, 1 unreadable inputs, 2 usage.
@@ -43,7 +44,7 @@ int main(int argc, char** argv) {
     const auto violations = hydra::io::bench_gate_violations(deltas, fail_over);
     if (!violations.empty()) {
       std::cerr << "hydra_bench_diff: " << violations.size()
-                << " benchmark(s) regressed more than " << fail_over << "%:\n";
+                << " benchmark(s) failed the " << fail_over << "% gate:\n";
       for (const auto& violation : violations) {
         std::cerr << "  " << violation << "\n";
       }
