@@ -16,12 +16,12 @@
 //
 // --catalog-md prints the full allocator registry (name + description) as the
 // markdown scheme catalog and exits; --catalog-out writes it to a file — the
-// committed docs/scheme-catalog.md is generated this way and kept in sync by
-// the test_scheme_catalog ctest suite.  --solver-catalog-md/--solver-catalog-out
-// do the same for the GP solver registry (docs/solver-catalog.md,
-// test_solver_catalog), and --controller-catalog-md/--controller-catalog-out
-// for the runtime controller-policy registry (docs/controller-catalog.md,
-// test_controller_catalog).
+// committed docs/scheme-catalog.md is generated this way.
+// --solver-catalog-md/--solver-catalog-out do the same for the GP solver
+// registry (docs/solver-catalog.md), and
+// --controller-catalog-md/--controller-catalog-out for the runtime
+// controller-policy registry (docs/controller-catalog.md).  The test_catalogs
+// ctest suite keeps all three committed files in sync with the registries.
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -42,63 +42,42 @@ namespace hexp = hydra::exp;
 int main(int argc, char** argv) {
   const hydra::util::CliParser cli(argc, argv);
 
-  const std::string catalog =
-      hydra::core::scheme_catalog_markdown(hydra::core::AllocatorRegistry::global());
-  if (cli.has("catalog-out")) {
-    const std::string path = cli.get_string("catalog-out", "");
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "cannot open " << path << " for writing\n";
-      return 2;
+  // --<flag>-md prints a registry's markdown catalog, --<flag>-out writes it.
+  const struct {
+    const char* flag;
+    const char* label;
+    const char* noun;
+    std::string markdown;
+    std::size_t entries;
+  } catalogs[] = {
+      {"catalog", "scheme", "schemes",
+       hydra::core::scheme_catalog_markdown(hydra::core::AllocatorRegistry::global()),
+       hydra::core::AllocatorRegistry::global().names().size()},
+      {"solver-catalog", "solver", "backends",
+       hydra::gp::solver_catalog_markdown(hydra::gp::SolverRegistry::global()),
+       hydra::gp::SolverRegistry::global().names().size()},
+      {"controller-catalog", "controller", "policies",
+       hydra::sim::controller_catalog_markdown(hydra::sim::ControllerRegistry::global()),
+       hydra::sim::ControllerRegistry::global().names().size()},
+  };
+  for (const auto& catalog : catalogs) {
+    const std::string flag = catalog.flag;
+    if (cli.has(flag + "-out")) {
+      const std::string path = cli.get_string(flag + "-out", "");
+      std::ofstream out(path);
+      if (!out) {
+        std::cerr << "cannot open " << path << " for writing\n";
+        return 2;
+      }
+      out << catalog.markdown;
+      std::cout << "wrote " << catalog.label << " catalog (" << catalog.entries << " "
+                << catalog.noun << ") to " << path << "\n";
+      return 0;
     }
-    out << catalog;
-    std::cout << "wrote scheme catalog (" << hydra::core::AllocatorRegistry::global()
-                                                 .names()
-                                                 .size()
-              << " schemes) to " << path << "\n";
-    return 0;
-  }
-  if (cli.get_bool("catalog-md", false)) {
-    std::cout << catalog;
-    return 0;
-  }
-  const std::string solver_catalog =
-      hydra::gp::solver_catalog_markdown(hydra::gp::SolverRegistry::global());
-  if (cli.has("solver-catalog-out")) {
-    const std::string path = cli.get_string("solver-catalog-out", "");
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "cannot open " << path << " for writing\n";
-      return 2;
+    if (cli.get_bool(flag + "-md", false)) {
+      std::cout << catalog.markdown;
+      return 0;
     }
-    out << solver_catalog;
-    std::cout << "wrote solver catalog ("
-              << hydra::gp::SolverRegistry::global().names().size() << " backends) to "
-              << path << "\n";
-    return 0;
-  }
-  if (cli.get_bool("solver-catalog-md", false)) {
-    std::cout << solver_catalog;
-    return 0;
-  }
-  const std::string controller_catalog = hydra::sim::controller_catalog_markdown(
-      hydra::sim::ControllerRegistry::global());
-  if (cli.has("controller-catalog-out")) {
-    const std::string path = cli.get_string("controller-catalog-out", "");
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "cannot open " << path << " for writing\n";
-      return 2;
-    }
-    out << controller_catalog;
-    std::cout << "wrote controller catalog ("
-              << hydra::sim::ControllerRegistry::global().names().size()
-              << " policies) to " << path << "\n";
-    return 0;
-  }
-  if (cli.get_bool("controller-catalog-md", false)) {
-    std::cout << controller_catalog;
-    return 0;
   }
   const auto cores = cli.get_int_list("cores", {2, 4, 8});
   const auto scheme_names =

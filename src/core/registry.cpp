@@ -11,39 +11,9 @@
 
 namespace hydra::core {
 
-void AllocatorRegistry::add(std::string name, std::string description, Factory factory) {
-  if (name.empty()) throw std::invalid_argument("registry: empty scheme name");
-  if (!factory) throw std::invalid_argument("registry: null factory for '" + name + "'");
-  if (find(name) != nullptr) {
-    throw std::invalid_argument("registry: duplicate scheme name '" + name + "'");
-  }
-  entries_.push_back({std::move(name), std::move(description), std::move(factory)});
-}
-
-bool AllocatorRegistry::contains(const std::string& name) const {
-  return find(name) != nullptr;
-}
-
-const AllocatorRegistry::Entry* AllocatorRegistry::find(const std::string& name) const {
-  for (const auto& entry : entries_) {
-    if (entry.name == name) return &entry;
-  }
-  return nullptr;
-}
-
 std::unique_ptr<Allocator> AllocatorRegistry::make(const std::string& name) const {
-  const Entry* entry = find(name);
-  if (entry == nullptr) {
-    std::string known;
-    for (const auto& e : entries_) {
-      if (!known.empty()) known += ", ";
-      known += e.name;
-    }
-    throw std::invalid_argument("unknown allocation scheme '" + name +
-                                "' (registered: " + known + ")");
-  }
-  auto allocator = entry->factory();
-  allocator->set_name(entry->name);
+  auto allocator = NamedRegistry::make(name);
+  allocator->set_name(name);
   return allocator;
 }
 
@@ -58,21 +28,6 @@ std::vector<std::unique_ptr<Allocator>> AllocatorRegistry::make_all(
     allocators.push_back(make(name));
   }
   return allocators;
-}
-
-std::vector<std::string> AllocatorRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& entry : entries_) out.push_back(entry.name);
-  return out;
-}
-
-const std::string& AllocatorRegistry::description(const std::string& name) const {
-  const Entry* entry = find(name);
-  if (entry == nullptr) {
-    throw std::invalid_argument("unknown allocation scheme '" + name + "'");
-  }
-  return entry->description;
 }
 
 namespace {
@@ -177,21 +132,17 @@ AllocatorRegistry& AllocatorRegistry::global() {
 }
 
 std::string scheme_catalog_markdown(const AllocatorRegistry& registry) {
-  std::string out;
-  out += "# Scheme catalog\n\n";
-  out += "Every allocation scheme registered in `AllocatorRegistry::global()`, in\n";
-  out += "registration order.  The name is the stable identifier accepted by every\n";
-  out += "`--schemes` flag and stamped verbatim on result rows.\n\n";
-  out += "**Generated file — do not edit by hand.**  Regenerate after touching the\n";
-  out += "registry with `./build/bench_table1_catalog --catalog-out "
-         "docs/scheme-catalog.md`\n";
-  out += "(or `HYDRA_UPDATE_CATALOG=1 ./build/test_scheme_catalog`); the ctest suite\n";
-  out += "`test_scheme_catalog` fails whenever this file and the registry disagree.\n\n";
-  out += "| Name | Description |\n|---|---|\n";
-  for (const auto& name : registry.names()) {
-    out += "| `" + name + "` | " + registry.description(name) + " |\n";
-  }
-  return out;
+  return registry.catalog_markdown(
+      "# Scheme catalog\n\n"
+      "Every allocation scheme registered in `AllocatorRegistry::global()`, in\n"
+      "registration order.  The name is the stable identifier accepted by every\n"
+      "`--schemes` flag and stamped verbatim on result rows.\n\n"
+      "**Generated file — do not edit by hand.**  Regenerate after touching the\n"
+      "registry with `./build/bench_table1_catalog --catalog-out "
+      "docs/scheme-catalog.md`\n"
+      "(or `HYDRA_UPDATE_CATALOG=1 ./build/test_catalogs`); the ctest suite\n"
+      "`test_catalogs` fails whenever this file and the registry disagree.\n\n"
+      "| Name | Description |\n|---|---|\n");
 }
 
 }  // namespace hydra::core

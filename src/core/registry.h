@@ -2,56 +2,31 @@
 // `--schemes hydra,single-core,optimal` and config files can pick strategies
 // without compiling against their option structs.
 //
-// The global registry ships the paper's three schemes plus the documented
-// ablation variants as named entries:
+// The global registry ships the paper's three schemes (`hydra`,
+// `single-core`, `optimal`), the HYDRA ablation variants (`hydra/...`) and
+// the adaptive families (`contego`, `period-adapt`, `util/...`);
+// docs/scheme-catalog.md is the generated list with descriptions.
 //
-//     hydra                  Algorithm 1, paper defaults
-//     hydra/gp               GP subproblem solver instead of the closed form
-//     hydra/exact-rta        exact response-time analysis (tighter periods)
-//     hydra/first-fit        first feasible core instead of argmax tightness
-//     hydra/least-loaded     least-loaded feasible core
-//     hydra/worst-tightness  adversarial argmin-tightness baseline
-//     hydra/tie=lowest-index lowest-index tie break (default spreads load)
-//     single-core            dedicated security core
-//     single-core/joint      + joint GP refinement of the dedicated core
-//     optimal                exhaustive assignment search, signomial SCP
-//     optimal/sum-surrogate  exhaustive search, sum-surrogate GP objective
-//     contego                Contego-style adaptive allocation (minimum-mode
-//                            placement + slack-aware opportunistic tightening)
-//     contego/no-adapt       ablation: every monitor stays in minimum mode
-//     period-adapt           period-adaptation-only baseline (fixed first-fit
-//                            partition, per-core period optimization)
-//     period-adapt/gp        + joint GP (signomial SCP) refinement
-//     util/worst-fit         place on the least security-loaded feasible core
-//     util/best-fit          place on the most security-loaded feasible core
-//
-// New schemes register with `add` (typically at startup); registered names
-// are stable identifiers that appear verbatim in result rows and sinks.
-// docs/allocator-authoring.md walks through adding one end to end;
-// docs/scheme-catalog.md is the generated catalog of this registry.
+// New schemes register with `add` (typically at startup); the lookup and
+// diagnostics are util::NamedRegistry's.
+// docs/allocator-authoring.md walks through adding one end to end.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/allocator.h"
+#include "util/named_registry.h"
 
 namespace hydra::core {
 
-class AllocatorRegistry {
+class AllocatorRegistry : public util::NamedRegistry<Allocator> {
  public:
-  using Factory = std::function<std::unique_ptr<Allocator>()>;
+  AllocatorRegistry() : NamedRegistry("allocation scheme") {}
 
-  /// Registers a scheme.  Throws std::invalid_argument on duplicate names.
-  void add(std::string name, std::string description, Factory factory);
-
-  bool contains(const std::string& name) const;
-
-  /// Constructs the scheme registered under `name` (the result's
-  /// Allocator::name() reports exactly `name`).  Throws std::invalid_argument
-  /// for unknown names, listing the registered ones.
+  /// Constructs the scheme registered under `name`; the result's
+  /// Allocator::name() reports exactly `name`.
   std::unique_ptr<Allocator> make(const std::string& name) const;
 
   /// Constructs every named scheme, in order (CLI callers split their
@@ -61,33 +36,14 @@ class AllocatorRegistry {
   std::vector<std::unique_ptr<Allocator>> make_all(
       const std::vector<std::string>& names) const;
 
-  /// Registered names, in registration order.
-  std::vector<std::string> names() const;
-
-  /// The registration-time description of `name` (throws when unknown).
-  const std::string& description(const std::string& name) const;
-
   /// The process-wide registry pre-populated with the built-in schemes.
   static AllocatorRegistry& global();
-
- private:
-  struct Entry {
-    std::string name;
-    std::string description;
-    Factory factory;
-  };
-
-  const Entry* find(const std::string& name) const;
-
-  std::vector<Entry> entries_;
 };
 
 /// Renders the registry as the markdown scheme catalog committed at
-/// docs/scheme-catalog.md (name + description, registration order).  A pure
-/// function of the registry contents, so `test_scheme_catalog` can diff the
-/// committed file against the live registry byte for byte.  Regenerate with
+/// docs/scheme-catalog.md.  Regenerate with
 /// `bench_table1_catalog --catalog-out docs/scheme-catalog.md` (or
-/// `HYDRA_UPDATE_CATALOG=1 ./build/test_scheme_catalog`).
+/// `HYDRA_UPDATE_CATALOG=1 ./build/test_catalogs`).
 std::string scheme_catalog_markdown(const AllocatorRegistry& registry);
 
 }  // namespace hydra::core

@@ -12,15 +12,17 @@
 // output is byte-identical with the seam active or not unless a warm start
 // finds a materially better KKT point.
 //
-// Scopes are thread-local and nest innermost-wins.  Installing a scope with
-// default-constructed (empty) hooks shadows any outer scope, which is how
-// the sweep-layer memo (exp/scp_warm.h) runs its own canonical solves cold
-// without re-entering itself.
+// Scopes are util::ThreadScope instances: thread-local, innermost-wins.
+// Installing a scope with default-constructed (empty) hooks shadows any
+// outer scope, which is how the sweep-layer memo (exp/scp_warm.h) runs its
+// own canonical solves cold without re-entering itself.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <vector>
+
+#include "util/thread_scope.h"
 
 namespace hydra::core {
 
@@ -38,19 +40,6 @@ struct ScpWarmStartHooks {
 };
 
 /// RAII installation of warm-start hooks for the current thread.
-class ScpWarmStartScope {
- public:
-  explicit ScpWarmStartScope(ScpWarmStartHooks hooks);
-  ~ScpWarmStartScope();
-  ScpWarmStartScope(const ScpWarmStartScope&) = delete;
-  ScpWarmStartScope& operator=(const ScpWarmStartScope&) = delete;
-
-  /// The innermost scope's hooks on this thread, or nullptr when none.
-  static const ScpWarmStartHooks* current();
-
- private:
-  ScpWarmStartHooks hooks_;
-  const ScpWarmStartHooks* previous_;
-};
+using ScpWarmStartScope = util::ThreadScope<ScpWarmStartHooks>;
 
 }  // namespace hydra::core

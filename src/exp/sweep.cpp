@@ -383,10 +383,11 @@ Sweep::Sweep(SweepSpec spec) : spec_(std::move(spec)) {
   if (spec_.schemes.empty()) {
     throw std::invalid_argument("sweep needs at least one scheme");
   }
-  core::AllocatorRegistry::global().make_all(spec_.schemes);  // typo check
-  if (!spec_.gp_backend.empty() &&
-      !gp::SolverRegistry::global().contains(spec_.gp_backend)) {
-    gp::SolverRegistry::global().make(spec_.gp_backend);  // throws, listing names
+  for (const auto& scheme : spec_.schemes) {
+    core::AllocatorRegistry::global().require(scheme);
+  }
+  if (!spec_.gp_backend.empty()) {
+    gp::SolverRegistry::global().require(spec_.gp_backend);
   }
   if (!spec_.controller_policy.empty()) {
     sim::ControllerRegistry::global().require(spec_.controller_policy);

@@ -1,31 +1,23 @@
-// Name-indexed construction of GP solver backends, mirroring
-// core::AllocatorRegistry one layer down: CLI flags like
+// Name-indexed construction of GP solver backends: CLI flags like
 // `--gp-backend ipm/filter` and SweepSpec::gp_backend pick the solver that
 // every plain-GP solve in the process runs through, without compiling against
 // backend option structs.
 //
-// The global registry ships three backends:
-//
-//     scp/barrier   log-space primal barrier with phase-I feasibility — the
-//                   incumbent stack the signomial SCP layer drives (default)
-//     ipm/filter    primal-dual interior point: perturbed KKT Newton system,
-//                   fraction-to-boundary rule, inertia-corrected Cholesky,
-//                   filter line search; certifies a dual point (kkt_residual)
-//     pick-best     meta-backend: runs scp/barrier, falls back to ipm/filter
-//                   on kError / non-convergence / infeasible verdicts, and
-//                   keeps the better objective when both are optimal
+// The global registry ships three backends: `scp/barrier` (the default),
+// `ipm/filter` and the `pick-best` meta-backend over the two;
+// docs/solver-catalog.md is the generated list with descriptions.
 //
 // Backend selection threads through the stack two ways: explicitly (ScpOptions,
-// JointPeriodOptions, SweepSpec carry a backend name) and ambiently via the
-// thread-local GpBackendScope RAII seam, which reaches call sites that have no
-// options plumbing (period_adaptation's one-variable GP inside contego).
-// Registered names are stable identifiers: SweepSpec::gp_backend is stamped
-// into sweep_fingerprint, so rows solved by different backends disagree loudly.
-// docs/solver-authoring.md walks through adding a backend end to end;
-// docs/solver-catalog.md is the generated catalog of this registry.
+// JointPeriodOptions, SweepSpec carry a backend name) and ambiently via
+// GpBackendScope, which reaches call sites that have no options plumbing
+// (period_adaptation's one-variable GP inside contego).  SweepSpec::gp_backend
+// is stamped into sweep_fingerprint, so rows solved by different backends
+// disagree loudly.  The registry and scope mechanics are util::NamedRegistry
+// and util::ThreadScope (docs/architecture.md, "Registries and ambient
+// scopes").  docs/solver-authoring.md walks through adding a backend end to
+// end.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -33,6 +25,8 @@
 
 #include "gp/problem.h"
 #include "gp/solver.h"
+#include "util/named_registry.h"
+#include "util/thread_scope.h"
 
 namespace hydra::gp {
 
@@ -59,61 +53,27 @@ class SolverBackend {
                                 std::nullopt) const = 0;
 };
 
-class SolverRegistry {
+class SolverRegistry : public util::NamedRegistry<SolverBackend, const SolveOptions&> {
  public:
-  using Factory = std::function<std::unique_ptr<SolverBackend>(const SolveOptions&)>;
+  SolverRegistry() : NamedRegistry("GP solver backend") {}
 
-  /// Registers a backend.  Throws std::invalid_argument on duplicate names.
-  void add(std::string name, std::string description, Factory factory);
-
-  bool contains(const std::string& name) const;
-
-  /// Constructs the backend registered under `name` (the result's
-  /// SolverBackend::name() reports exactly `name`).  Throws
-  /// std::invalid_argument for unknown names, listing the registered ones.
+  /// Constructs the backend registered under `name`; the result's
+  /// SolverBackend::name() reports exactly `name`.
   std::unique_ptr<SolverBackend> make(const std::string& name,
-                                      const SolveOptions& options = {}) const;
-
-  /// Registered names, in registration order.
-  std::vector<std::string> names() const;
-
-  /// The registration-time description of `name` (throws when unknown).
-  const std::string& description(const std::string& name) const;
+                                      const SolveOptions& options = {}) const {
+    return NamedRegistry::make(name, options);
+  }
 
   /// The process-wide registry pre-populated with the built-in backends.
   static SolverRegistry& global();
-
- private:
-  struct Entry {
-    std::string name;
-    std::string description;
-    Factory factory;
-  };
-
-  const Entry* find(const std::string& name) const;
-
-  std::vector<Entry> entries_;
 };
 
-/// RAII thread-local backend selection, mirroring core::ScpWarmStartScope:
-/// scopes nest innermost-wins, and call sites without options plumbing
-/// resolve the ambient backend through `current()`.  An empty backend string
-/// re-selects the default, which is how the sweep-layer warm-start memo pins
-/// its canonical solves to scp/barrier regardless of the spec's backend.
-class GpBackendScope {
- public:
-  explicit GpBackendScope(std::string backend);
-  ~GpBackendScope();
-  GpBackendScope(const GpBackendScope&) = delete;
-  GpBackendScope& operator=(const GpBackendScope&) = delete;
-
-  /// The innermost scope's backend name on this thread, or nullptr when none.
-  static const std::string* current();
-
- private:
-  std::string backend_;
-  const std::string* previous_;
-};
+/// Tags the thread-local backend selection.  The sweep installs one
+/// GpBackendScope per unit; an empty name re-selects the default, which is
+/// how the sweep-layer warm-start memo pins its canonical solves to
+/// scp/barrier regardless of the spec's backend.
+struct GpBackendTag {};
+using GpBackendScope = util::ThreadScope<std::string, GpBackendTag>;
 
 /// Resolves which backend a call site should use: an explicitly configured
 /// non-empty `configured` name wins, else the innermost GpBackendScope, else
@@ -130,11 +90,9 @@ SolveResult solve_with_backend(const GpProblem& problem,
                                const SolveOptions& options = {});
 
 /// Renders the registry as the markdown solver catalog committed at
-/// docs/solver-catalog.md (name + description, registration order).  A pure
-/// function of the registry contents, so `test_solver_catalog` can diff the
-/// committed file against the live registry byte for byte.  Regenerate with
+/// docs/solver-catalog.md.  Regenerate with
 /// `bench_table1_catalog --solver-catalog-out docs/solver-catalog.md` (or
-/// `HYDRA_UPDATE_CATALOG=1 ./build/test_solver_catalog`).
+/// `HYDRA_UPDATE_CATALOG=1 ./build/test_catalogs`).
 std::string solver_catalog_markdown(const SolverRegistry& registry);
 
 }  // namespace hydra::gp

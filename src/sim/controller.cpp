@@ -1,7 +1,6 @@
 #include "sim/controller.h"
 
 #include <cmath>
-#include <stdexcept>
 #include <utility>
 
 #include "util/contracts.h"
@@ -148,55 +147,12 @@ class BoostPolicy : public ControllerPolicy {
 
 }  // namespace
 
-void ControllerRegistry::add(std::string name, std::string description,
-                             Factory factory) {
-  HYDRA_REQUIRE(!name.empty(), "controller policy name must be non-empty");
-  HYDRA_REQUIRE(find(name) == nullptr,
-                "duplicate controller policy name '" + name + "'");
-  entries_.push_back(Entry{std::move(name), std::move(description), std::move(factory)});
-}
-
-bool ControllerRegistry::contains(const std::string& name) const {
-  return find(name) != nullptr;
-}
-
-const ControllerRegistry::Entry* ControllerRegistry::find(
-    const std::string& name) const {
-  for (const auto& entry : entries_) {
-    if (entry.name == name) return &entry;
-  }
-  return nullptr;
-}
-
-void ControllerRegistry::require(const std::string& name) const {
-  if (find(name) != nullptr) return;
-  std::string known;
-  for (const auto& entry : entries_) {
-    if (!known.empty()) known += ", ";
-    known += entry.name;
-  }
-  throw std::invalid_argument("unknown controller policy '" + name +
-                              "' (registered: " + known + ")");
-}
-
 std::unique_ptr<ControllerPolicy> ControllerRegistry::make(
     const std::string& name, const ModeControllerConfig& config,
     const PolicyInit& init) const {
   require(name);
   config.validate();
-  return find(name)->factory(config, init);
-}
-
-std::vector<std::string> ControllerRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& entry : entries_) out.push_back(entry.name);
-  return out;
-}
-
-const std::string& ControllerRegistry::description(const std::string& name) const {
-  require(name);
-  return find(name)->description;
+  return NamedRegistry::make(name, config, init);
 }
 
 ControllerRegistry& ControllerRegistry::global() {
@@ -235,42 +191,23 @@ ControllerRegistry& ControllerRegistry::global() {
   return registry;
 }
 
-namespace {
-thread_local const std::string* g_controller_scope = nullptr;
-}  // namespace
-
-ControllerScope::ControllerScope(std::string policy)
-    : policy_(std::move(policy)), previous_(g_controller_scope) {
-  g_controller_scope = policy_.empty() ? nullptr : &policy_;
-}
-
-ControllerScope::~ControllerScope() { g_controller_scope = previous_; }
-
-const std::string* ControllerScope::current() { return g_controller_scope; }
-
 const std::string& resolve_controller_policy(const std::string& configured) {
-  if (!configured.empty()) return configured;
-  if (const std::string* scoped = ControllerScope::current()) return *scoped;
-  static const std::string kDefault = kDefaultControllerPolicy;
-  return kDefault;
+  static const std::string fallback = kDefaultControllerPolicy;
+  return util::resolve_scoped_name<ControllerPolicyTag>(configured, fallback);
 }
 
 std::string controller_catalog_markdown(const ControllerRegistry& registry) {
-  std::string out =
+  return registry.catalog_markdown(
       "# Controller policy catalog\n"
       "\n"
       "Generated from `sim::ControllerRegistry::global()` by\n"
       "`bench_table1_catalog --controller-catalog-out docs/controller-catalog.md`\n"
       "— regenerate after registering or re-describing a policy\n"
-      "(`test_controller_catalog` fails when this file is stale; "
-      "`HYDRA_UPDATE_CATALOG=1 ./build/test_controller_catalog` rewrites it).\n"
+      "(`test_catalogs` fails when this file is stale; "
+      "`HYDRA_UPDATE_CATALOG=1 ./build/test_catalogs` rewrites it).\n"
       "\n"
       "| policy | description |\n"
-      "|---|---|\n";
-  for (const auto& name : registry.names()) {
-    out += "| `" + name + "` | " + registry.description(name) + " |\n";
-  }
-  return out;
+      "|---|---|\n");
 }
 
 }  // namespace hydra::sim

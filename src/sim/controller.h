@@ -1,40 +1,29 @@
-// Runtime controller policies and their registry, mirroring
-// core::AllocatorRegistry / gp::SolverRegistry one layer over: CLI flags like
+// Runtime controller policies and their registry: CLI flags like
 // `--policies hysteresis,boost` and SweepSpec::controller_policy pick the
 // decision rule the mode-switching engine (sim/mode_switch.h) runs each
 // monitor through, without compiling against policy internals.
 //
-// The global registry ships four policies:
-//
-//     hysteresis          the incumbent two-point rule: jump to the fastest
-//                         level when idle >= tighten_threshold, fall back to
-//                         minimum mode when idle <= relax_threshold (default)
-//     hysteresis/nlevel   the same band, one level at a time: tighten one
-//                         step on idle >= tighten, loosen one step on
-//                         idle <= relax — the N-level generalization
-//     never-switch        inert baseline: every monitor stays in minimum
-//                         mode, job-for-job identical to the static engine
-//     boost               attack-triggered (Contego): a detection event
-//                         pins the affected monitor at its fastest level for
-//                         `boost_window` ticks, after which it decays back
-//                         level-by-level toward what hysteresis/nlevel wants
+// The global registry ships four policies: `hysteresis` (the default),
+// `hysteresis/nlevel`, `never-switch` and the attack-triggered `boost`;
+// docs/controller-catalog.md is the generated list with descriptions.
 //
 // Registered names are stable identifiers: SweepSpec::controller_policy is
 // stamped into sweep_fingerprint, so rows simulated under different policies
 // disagree loudly.  Policy selection resolves explicit config > the
-// thread-local ControllerScope > kDefaultControllerPolicy, exactly like
-// gp::resolve_gp_backend.  docs/controller-catalog.md is the generated
-// catalog of this registry; the authoring path is documented in
-// docs/architecture.md ("Runtime adaptation").
+// innermost ControllerScope > kDefaultControllerPolicy; the registry and
+// scope mechanics are util::NamedRegistry and util::ThreadScope
+// (docs/architecture.md, "Registries and ambient scopes").  The authoring
+// path is documented in docs/architecture.md ("Runtime adaptation").
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "util/named_registry.h"
+#include "util/thread_scope.h"
 #include "util/units.h"
 
 namespace hydra::sim {
@@ -134,67 +123,29 @@ struct PolicyInit {
   util::SimTime slack_window = 1;   ///< the core's RESOLVED slack window
 };
 
-class ControllerRegistry {
+class ControllerRegistry
+    : public util::NamedRegistry<ControllerPolicy, const ModeControllerConfig&,
+                                 const PolicyInit&> {
  public:
-  using Factory = std::function<std::unique_ptr<ControllerPolicy>(
-      const ModeControllerConfig&, const PolicyInit&)>;
-
-  /// Registers a policy.  Throws std::invalid_argument on duplicate names.
-  void add(std::string name, std::string description, Factory factory);
-
-  bool contains(const std::string& name) const;
+  ControllerRegistry() : NamedRegistry("controller policy") {}
 
   /// Constructs the policy registered under `name` (the result's
-  /// ControllerPolicy::name() reports exactly `name`).  Validates `config`
-  /// first.  Throws std::invalid_argument for unknown names, listing the
-  /// registered ones.
+  /// ControllerPolicy::name() reports exactly `name`).  Checks the name,
+  /// then validates `config`, before calling the factory.
   std::unique_ptr<ControllerPolicy> make(const std::string& name,
                                          const ModeControllerConfig& config,
                                          const PolicyInit& init) const;
 
-  /// Throws std::invalid_argument (listing the registered names) when `name`
-  /// is unknown — the cheap existence check Sweep construction uses.
-  void require(const std::string& name) const;
-
-  /// Registered names, in registration order.
-  std::vector<std::string> names() const;
-
-  /// The registration-time description of `name` (throws when unknown).
-  const std::string& description(const std::string& name) const;
-
   /// The process-wide registry pre-populated with the built-in policies.
   static ControllerRegistry& global();
-
- private:
-  struct Entry {
-    std::string name;
-    std::string description;
-    Factory factory;
-  };
-
-  const Entry* find(const std::string& name) const;
-
-  std::vector<Entry> entries_;
 };
 
-/// RAII thread-local policy selection, mirroring gp::GpBackendScope: scopes
-/// nest innermost-wins, and call sites whose config carries no policy name
-/// resolve the ambient policy through `current()`.  The sweep layer installs
-/// one per unit from SweepSpec::controller_policy.
-class ControllerScope {
- public:
-  explicit ControllerScope(std::string policy);
-  ~ControllerScope();
-  ControllerScope(const ControllerScope&) = delete;
-  ControllerScope& operator=(const ControllerScope&) = delete;
-
-  /// The innermost scope's policy name on this thread, or nullptr when none.
-  static const std::string* current();
-
- private:
-  std::string policy_;
-  const std::string* previous_;
-};
+/// Tags the thread-local policy selection: call sites whose config carries
+/// no policy name resolve the ambient one.  The sweep layer installs one
+/// ControllerScope per unit from SweepSpec::controller_policy; an empty name
+/// re-selects the default.
+struct ControllerPolicyTag {};
+using ControllerScope = util::ThreadScope<std::string, ControllerPolicyTag>;
 
 /// Resolves which policy a call site should use: an explicitly configured
 /// non-empty `configured` name wins, else the innermost ControllerScope, else
@@ -202,12 +153,9 @@ class ControllerScope {
 const std::string& resolve_controller_policy(const std::string& configured);
 
 /// Renders the registry as the markdown controller catalog committed at
-/// docs/controller-catalog.md (name + description, registration order).  A
-/// pure function of the registry contents, so `test_controller_catalog` can
-/// diff the committed file against the live registry byte for byte.
-/// Regenerate with `bench_table1_catalog --controller-catalog-out
-/// docs/controller-catalog.md` (or
-/// `HYDRA_UPDATE_CATALOG=1 ./build/test_controller_catalog`).
+/// docs/controller-catalog.md.  Regenerate with `bench_table1_catalog
+/// --controller-catalog-out docs/controller-catalog.md` (or
+/// `HYDRA_UPDATE_CATALOG=1 ./build/test_catalogs`).
 std::string controller_catalog_markdown(const ControllerRegistry& registry);
 
 }  // namespace hydra::sim

@@ -62,7 +62,9 @@ AllocationService::AllocationService(ServiceOptions options)
     throw std::invalid_argument("journal_compact_factor must be >= 2");
   }
   // Validate the defaults now, not on the first request.
-  core::AllocatorRegistry::global().make_all(options_.default_schemes);
+  for (const auto& scheme : options_.default_schemes) {
+    core::AllocatorRegistry::global().require(scheme);
+  }
 
   if (!options_.cache_journal_path.empty()) {
     journal_replay();

