@@ -22,7 +22,15 @@ bool dbf_necessary_condition(const std::vector<RtTask>& tasks, std::size_t num_c
 
   const double m = static_cast<double>(num_cores);
   // Asymptotic limit of Eq. (1): total utilization at most M.
-  if (total_utilization(tasks) > m + util::kTimeEpsilon) return false;
+  const double u = total_utilization(tasks);
+  if (u > m + util::kTimeEpsilon) return false;
+  // Exact linear-time accept (proof in analysis.h): with D_i >= T_i for
+  // every task, Σ DBF(t) <= U·t, so U <= M already settles Eq. (1).
+  if (u <= m && std::all_of(tasks.begin(), tasks.end(), [](const RtTask& task) {
+        return task.deadline >= task.period;
+      })) {
+    return true;
+  }
 
   util::Millis h = 0.0;
   if (horizon.has_value()) {
@@ -173,20 +181,19 @@ bool core_admits_rm(const std::vector<RtTask>& resident_by_priority, const RtTas
   std::size_t pos = 0;
   while (pos < n && base[pos].period <= candidate.period) ++pos;
 
-  // The candidate against everything that outranks it ...
-  if (!response_time_spliced(candidate, base, pos, nullptr, nullptr, 0, blocking).has_value()) {
-    return false;
-  }
-  // ... and each resident it preempts, with the candidate spliced into its
-  // interferer list.  Residents at positions < pos keep their interferer set
+  // The verdict is a conjunction of side-effect-free response-time checks,
+  // so their order cannot change it: check the residents the candidate
+  // preempts from the lowest priority upward (the likeliest to miss), each
+  // with the candidate spliced into its interferer list, and the candidate
+  // itself last.  Residents at positions < pos keep their interferer set
   // (and hence their already-verified response times) unchanged.
-  for (std::size_t j = pos; j < n; ++j) {
+  for (std::size_t j = n; j-- > pos;) {
     if (!response_time_spliced(base[j], base, pos, &candidate, base + pos, j - pos, blocking)
              .has_value()) {
       return false;
     }
   }
-  return true;
+  return response_time_spliced(candidate, base, pos, nullptr, nullptr, 0, blocking).has_value();
 }
 
 double liu_layland_bound(std::size_t n) {

@@ -23,6 +23,13 @@ double dbf(const RtTask& task, util::Millis t);
 /// ΣU ≤ M, which is the t → ∞ limit).  When `horizon` is not given it
 /// defaults to 2·max_i(D_i + T_i), enough to catch small-t violations that
 /// the utilization bound misses.
+///
+/// When every task has D_i ≥ T_i and ΣU ≤ M, the check accepts in O(n)
+/// without visiting a deadline point.  Proof: DBF_i(t) is 0 for t < D_i, and
+/// for t ≥ D_i it is (⌊(t − D_i)/T_i⌋ + 1)·C_i ≤ ((t − D_i)/T_i + 1)·C_i
+/// = U_i·(t − D_i + T_i) ≤ U_i·t; summing, Σ DBF(t) ≤ U·t ≤ M·t for all t.
+/// A set with a constrained deadline (D_i < T_i), or with U in (M, M + ε],
+/// still runs the full sweep.
 bool dbf_necessary_condition(const std::vector<RtTask>& tasks, std::size_t num_cores,
                              std::optional<util::Millis> horizon = std::nullopt);
 
@@ -53,7 +60,8 @@ bool core_schedulable_rm_with_blocking(const std::vector<RtTask>& tasks_on_core,
 /// that outrank it, so only the candidate itself and the residents it
 /// preempts need fresh response times.  Interference sums are accumulated in
 /// the same priority order as the full test so marginal fixpoints agree
-/// bit-for-bit.
+/// bit-for-bit.  The preempted residents are checked lowest priority first
+/// and the candidate last, so a reject usually stops after one fixpoint.
 bool core_admits_rm(const std::vector<RtTask>& resident_by_priority, const RtTask& candidate,
                     util::Millis blocking = 0.0);
 

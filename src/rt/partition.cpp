@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "rt/analysis.h"
 #include "util/contracts.h"
@@ -46,14 +47,10 @@ void insert_by_priority(std::vector<RtTask>& resident_by_priority, const RtTask&
   resident_by_priority.insert(it, task);
 }
 
-}  // namespace
-
-std::optional<Partition> partition_rt_tasks(const std::vector<RtTask>& tasks,
+/// The heuristic itself, on a validated task set.
+std::optional<Partition> partition_uncached(const std::vector<RtTask>& tasks,
                                             std::size_t num_cores,
                                             const PartitionOptions& options) {
-  HYDRA_REQUIRE(num_cores >= 1, "need at least one core");
-  validate(tasks);
-
   std::vector<std::size_t> order(tasks.size());
   std::iota(order.begin(), order.end(), 0);
   if (options.decreasing_utilization) {
@@ -123,6 +120,88 @@ std::optional<Partition> partition_rt_tasks(const std::vector<RtTask>& tasks,
     partition.core_of[ti] = *chosen;
   }
   return partition;
+}
+
+/// The exact bytes of every input a placement depends on, except the core
+/// count: each task's (wcet, period, deadline) and the options.  Task names
+/// do not affect placement.
+std::string partition_key(const std::vector<RtTask>& tasks, const PartitionOptions& options) {
+  std::string key;
+  key.reserve(tasks.size() * 3 * sizeof(double) + 2);
+  const auto append = [&key](double v) {
+    key.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  for (const auto& task : tasks) {
+    append(task.wcet);
+    append(task.period);
+    append(task.deadline);
+  }
+  key.push_back(static_cast<char>(options.strategy));
+  key.push_back(options.decreasing_utilization ? '1' : '0');
+  return key;
+}
+
+/// The last partition computed on this thread, with its key and core count.
+struct PartitionMemo {
+  std::string key;
+  std::size_t num_cores = 0;
+  std::optional<Partition> result;
+};
+
+/// Answers a `num_cores` call from a memo with the same key, or returns
+/// false.  Beyond exact hits, first-fit and best-fit answer the neighboring
+/// core count.  Both break ties toward the lowest index, and an empty core
+/// (load 0) never beats a feasible lower one, so runs on M and M−1 cores make
+/// identical choices until the M-core run first picks core M−1, which it does
+/// only when no lower core fits.  Hence the (M−1)-core run succeeds iff the
+/// M-core run succeeds without core M−1, and then with the same assignment.
+bool answer_from_memo(const PartitionMemo& memo, std::size_t num_cores,
+                      const PartitionOptions& options, std::optional<Partition>& out) {
+  if (memo.num_cores == num_cores) {
+    out = memo.result;
+    return true;
+  }
+  if (options.strategy != FitStrategy::kFirstFit && options.strategy != FitStrategy::kBestFit) {
+    return false;
+  }
+  if (memo.num_cores == num_cores + 1) {
+    // The memoized run's last core has index num_cores.
+    const bool uses_last_core =
+        memo.result.has_value() &&
+        std::find(memo.result->core_of.begin(), memo.result->core_of.end(), num_cores) !=
+            memo.result->core_of.end();
+    out = uses_last_core ? std::nullopt : memo.result;
+  } else if (memo.num_cores + 1 == num_cores && memo.result.has_value()) {
+    out = memo.result;
+  } else {
+    return false;
+  }
+  if (out.has_value()) out->num_cores = num_cores;
+  return true;
+}
+
+}  // namespace
+
+std::optional<Partition> partition_rt_tasks(const std::vector<RtTask>& tasks,
+                                            std::size_t num_cores,
+                                            const PartitionOptions& options) {
+  HYDRA_REQUIRE(num_cores >= 1, "need at least one core");
+  validate(tasks);
+
+  // Size-1 per-thread memo: a sweep cell's schemes partition the same RT
+  // tasks back to back on the worker that owns the cell, so consecutive calls
+  // hit while concurrent workers never contend.  Results are pure functions
+  // of the key, so the memo cannot perturb determinism.
+  thread_local PartitionMemo memo;
+  std::string key = partition_key(tasks, options);
+  std::optional<Partition> result;
+  if (key == memo.key && answer_from_memo(memo, num_cores, options, result)) return result;
+
+  result = partition_uncached(tasks, num_cores, options);
+  memo.key = std::move(key);
+  memo.num_cores = num_cores;
+  memo.result = result;
+  return result;
 }
 
 }  // namespace hydra::rt

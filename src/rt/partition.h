@@ -42,6 +42,12 @@ struct Partition {
 /// Partitions `tasks` over `num_cores` cores; returns nullopt when the chosen
 /// heuristic cannot place some task such that every core stays RM-schedulable
 /// (exact RTA admission).
+///
+/// Each thread remembers its last result, so the schemes of one sweep cell
+/// share one partition: a repeated call returns it, and for first-fit and
+/// best-fit an M-core result also answers the (M−1)-core call (and a
+/// successful (M−1)-core result the M-core call).  Every answer is the one a
+/// fresh run would give.
 std::optional<Partition> partition_rt_tasks(const std::vector<RtTask>& tasks,
                                             std::size_t num_cores,
                                             const PartitionOptions& options = {});

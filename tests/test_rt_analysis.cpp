@@ -86,6 +86,75 @@ TEST(NecessaryCondition, ChecksTheDeadlinePointNearestTheHorizon) {
   EXPECT_TRUE(rt::dbf_necessary_condition({a, b}, 1, t_star - 0.01));
 }
 
+namespace {
+
+/// C·#{k ≥ 0 : D + k·T ≤ t}: the demand bound at t counted over the
+/// multiplication-form deadline points.  rt::dbf's floor((t − D)/T) can land
+/// one job short when t is itself such a point, e.g. D + T computed in
+/// floating point with (t − D)/T = 1 − 2⁻⁵³.
+double dbf_by_counting(const rt::RtTask& task, double t) {
+  if (t < task.deadline) return 0.0;
+  auto k = static_cast<std::uint64_t>(std::floor((t - task.deadline) / task.period));
+  while (task.deadline + static_cast<double>(k + 1) * task.period <= t) ++k;
+  while (k > 0 && task.deadline + static_cast<double>(k) * task.period > t) --k;
+  return static_cast<double>(k + 1) * task.wcet;
+}
+
+/// The definitional Eq. (1) check: ΣU ≤ M (with the ε slack), and
+/// Σ DBF(τ, t) ≤ M·t at every multiplication-form deadline point up to
+/// 2·max(D + T).
+bool brute_force_necessary_condition(const std::vector<rt::RtTask>& tasks, std::size_t m) {
+  double total_util = 0.0;
+  for (const auto& task : tasks) total_util += task.utilization();
+  if (total_util > static_cast<double>(m) + 1e-6) return false;
+  double h = 0.0;
+  for (const auto& task : tasks) h = std::max(h, 2.0 * (task.deadline + task.period));
+  for (const auto& task : tasks) {
+    for (std::uint64_t j = 0;; ++j) {
+      const double t = task.deadline + static_cast<double>(j) * task.period;
+      if (t > h) break;
+      double demand = 0.0;
+      for (const auto& other : tasks) demand += dbf_by_counting(other, t);
+      if (demand > static_cast<double>(m) * t + 1e-6) return false;
+    }
+  }
+  return true;
+}
+
+/// Implicit-deadline tasks (D = T) with periods in [2, 20] whose
+/// utilizations are scaled to sum to `target`.
+std::vector<rt::RtTask> implicit_set_at(hydra::util::Xoshiro256& rng, std::size_t n,
+                                        double target) {
+  std::vector<double> weights(n);
+  double weight_sum = 0.0;
+  for (auto& w : weights) weight_sum += (w = rng.uniform(0.1, 1.0));
+  std::vector<rt::RtTask> tasks;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double p = rng.uniform(2.0, 20.0);
+    tasks.push_back(rt::make_rt_task("t" + std::to_string(i),
+                                     weights[i] / weight_sum * target * p, p));
+  }
+  return tasks;
+}
+
+/// Implicit-deadline tasks whose utilizations sum to exactly `m` in floating
+/// point: power-of-two periods and utilizations k/64, so every C = U·T and
+/// every partial sum of C/T is exact.
+std::vector<rt::RtTask> implicit_set_exactly_full(hydra::util::Xoshiro256& rng, std::size_t m) {
+  std::vector<rt::RtTask> tasks;
+  std::uint64_t remaining = 64 * m;
+  while (remaining > 0) {
+    const std::uint64_t k = std::min<std::uint64_t>(remaining, rng.uniform_int(8, 64));
+    const double p = std::ldexp(1.0, static_cast<int>(rng.uniform_int(1, 4)));
+    tasks.push_back(rt::make_rt_task("t" + std::to_string(tasks.size()),
+                                     static_cast<double>(k) / 64.0 * p, p));
+    remaining -= k;
+  }
+  return tasks;
+}
+
+}  // namespace
+
 TEST(NecessaryCondition, MatchesBruteForceOnRandomTaskSets) {
   // The event-sweep implementation must agree with the definitional check:
   // Σ dbf(τ, t) ≤ M·t evaluated at every multiplication-form deadline point.
@@ -100,27 +169,71 @@ TEST(NecessaryCondition, MatchesBruteForceOnRandomTaskSets) {
       tasks.push_back(rt::RtTask{"t" + std::to_string(i), c, p, d});
     }
     const std::size_t m = 1 + static_cast<std::size_t>(rng.uniform(0.0, 2.0));
+    EXPECT_EQ(rt::dbf_necessary_condition(tasks, m), brute_force_necessary_condition(tasks, m))
+        << "rep " << rep;
+  }
 
-    double h = 0.0;
-    for (const auto& task : tasks) h = std::max(h, 2.0 * (task.deadline + task.period));
-    bool reference = true;
-    double total_util = 0.0;
-    for (const auto& task : tasks) total_util += task.utilization();
-    if (total_util > static_cast<double>(m) + 1e-6) reference = false;
-    for (const auto& task : tasks) {
-      if (!reference) break;
-      for (std::uint64_t j = 0;; ++j) {
-        const double t = task.deadline + static_cast<double>(j) * task.period;
-        if (t > h) break;
-        double demand = 0.0;
-        for (const auto& other : tasks) demand += rt::dbf(other, t);
-        if (demand > static_cast<double>(m) * t + 1e-6) {
-          reference = false;
-          break;
-        }
+  // Implicit (and a few arbitrary) deadlines reach the linear-time accept;
+  // the boundary classes straddle it.  Every set is checked against the
+  // definition.
+  hydra::util::Xoshiro256 implicit_rng(20240601);
+  constexpr double kEps = 1e-6;  // util::kTimeEpsilon
+  int verdicts[8][2] = {};  // [class][accepted]
+  for (int rep = 0; rep < 24000; ++rep) {
+    const std::size_t m = 1 + static_cast<std::size_t>(implicit_rng.uniform_int(0, 3));
+    const std::size_t n = static_cast<std::size_t>(implicit_rng.uniform_int(m, 8));
+    std::vector<rt::RtTask> tasks;
+    switch (rep % 8) {
+      case 0:  // anywhere from light load to overload
+        tasks = implicit_set_at(implicit_rng, n,
+                                implicit_rng.uniform(0.05, 1.2) * static_cast<double>(m));
+        break;
+      case 1:  // U = M exactly
+        tasks = implicit_set_exactly_full(implicit_rng, m);
+        break;
+      case 2:  // U = M − ε/2: accepted without a sweep
+        tasks = implicit_set_at(implicit_rng, n, static_cast<double>(m) - kEps / 2);
+        break;
+      case 3:  // U = M + ε/2: inside the slack, so the sweep decides
+        tasks = implicit_set_at(implicit_rng, n, static_cast<double>(m) + kEps / 2);
+        break;
+      case 4:  // U = M + 2ε: rejected by the utilization limit
+        tasks = implicit_set_at(implicit_rng, n, static_cast<double>(m) + 2 * kEps);
+        break;
+      case 5: {  // n = 1, up to a full core
+        const double p = implicit_rng.uniform(2.0, 20.0);
+        const double u =
+            implicit_rng.uniform_int(0, 3) == 0 ? 1.0 : implicit_rng.uniform(0.05, 1.0);
+        tasks = {rt::make_rt_task("solo", u * p, p)};
+        break;
+      }
+      case 6: {  // one constrained deadline sends the set to the sweep
+        tasks = implicit_set_at(implicit_rng, n,
+                                implicit_rng.uniform(0.6, 1.0) * static_cast<double>(m));
+        auto& odd = tasks[implicit_rng.uniform_int(0, n - 1)];
+        odd.deadline = std::max(odd.wcet, implicit_rng.uniform(0.3, 0.95) * odd.period);
+        break;
+      }
+      default: {  // arbitrary deadlines D >= T also take the linear accept
+        tasks = implicit_set_at(implicit_rng, n,
+                                implicit_rng.uniform(0.6, 1.1) * static_cast<double>(m));
+        for (auto& task : tasks) task.deadline = implicit_rng.uniform(1.0, 2.0) * task.period;
+        break;
       }
     }
-    EXPECT_EQ(rt::dbf_necessary_condition(tasks, m), reference) << "rep " << rep;
+    const bool reference = brute_force_necessary_condition(tasks, m);
+    ASSERT_EQ(rt::dbf_necessary_condition(tasks, m), reference)
+        << "rep " << rep << " class " << rep % 8 << " m " << m;
+    ++verdicts[rep % 8][reference];
+  }
+  // Implicit deadlines with U <= M always pass; U > M + ε never does.
+  for (const int c : {1, 2, 5}) EXPECT_EQ(verdicts[c][0], 0) << "class " << c;
+  EXPECT_EQ(verdicts[4][1], 0);
+  // Inside the ε slack, and with a constrained deadline, the sweep finds
+  // real violations: those classes must show both verdicts.
+  for (const int c : {0, 3, 6, 7}) {
+    EXPECT_GT(verdicts[c][1], 0) << "class " << c;
+    EXPECT_GT(verdicts[c][0], 0) << "class " << c;
   }
 }
 
@@ -166,6 +279,66 @@ TEST(CoreSchedulable, AcceptsAndRejects) {
   EXPECT_FALSE(rt::core_schedulable_rm({rt::make_rt_task("a", 5.0, 10.0),
                                         rt::make_rt_task("b", 5.1, 10.0)}));
   EXPECT_TRUE(rt::core_schedulable_rm({}));
+}
+
+TEST(CoreAdmits, MatchesFullTestOnTheCombinedSet) {
+  // core_admits_rm re-analyzes only the candidate and the residents it
+  // preempts, lowest priority first; its verdict must equal the full
+  // per-core test on residents ∪ {candidate}, with and without blocking.
+  hydra::util::Xoshiro256 rng(9001);
+  const double tie_periods[] = {10.0, 20.0, 25.0, 40.0, 50.0};
+  int verdicts[2][2] = {};  // [blocking > 0][admitted]
+  int slot_verdicts[2][2] = {};  // [last slot][admitted], forced slots only
+  int tied = 0;
+  for (int rep = 0; rep < 6000; ++rep) {
+    const bool discrete = rep % 2 == 0;  // few distinct periods: equal-period ties
+    const bool blocked = rep % 4 >= 2;
+    const double blocking = blocked ? rng.uniform(0.1, 4.0) : 0.0;
+    const auto draw_period = [&] {
+      return discrete ? tie_periods[rng.uniform_int(0, 4)] : rng.uniform(10.0, 50.0);
+    };
+
+    // RM-schedulable residents, kept in priority order the way the
+    // partitioner inserts them (after every resident with period <= own).
+    std::vector<rt::RtTask> residents;
+    const std::size_t wanted = rng.uniform_int(0, 6);
+    for (int tries = 0; residents.size() < wanted && tries < 30; ++tries) {
+      const double p = draw_period();
+      const auto task = rt::make_rt_task("r" + std::to_string(tries),
+                                         rng.uniform(0.03, 0.35) * p, p);
+      auto trial = residents;
+      trial.insert(std::upper_bound(trial.begin(), trial.end(), task,
+                                    [](const rt::RtTask& a, const rt::RtTask& b) {
+                                      return a.period < b.period;
+                                    }),
+                   task);
+      if (rt::core_schedulable_rm_with_blocking(trial, blocking)) residents = std::move(trial);
+    }
+
+    // The candidate lands anywhere, or in the first or the last priority slot.
+    const int slot = residents.empty() ? 0 : static_cast<int>(rep % 3);
+    double p = draw_period();
+    if (slot == 1) {
+      p = residents.front().period * rng.uniform(0.5, 0.99);
+    } else if (slot == 2) {
+      p = discrete ? residents.back().period : residents.back().period * rng.uniform(1.0, 1.5);
+    }
+    const auto candidate = rt::make_rt_task("cand", rng.uniform(0.05, 0.6) * p, p);
+    for (const auto& r : residents) tied += r.period == candidate.period ? 1 : 0;
+
+    auto combined = residents;
+    combined.push_back(candidate);
+    const bool admitted = rt::core_admits_rm(residents, candidate, blocking);
+    ASSERT_EQ(admitted, rt::core_schedulable_rm_with_blocking(combined, blocking))
+        << "rep " << rep << " slot " << slot << " blocking " << blocking;
+    ++verdicts[blocked][admitted];
+    if (slot != 0) ++slot_verdicts[slot == 2][admitted];
+  }
+  for (const auto& by_blocking : {verdicts[0], verdicts[1], slot_verdicts[0], slot_verdicts[1]}) {
+    EXPECT_GT(by_blocking[0], 100);
+    EXPECT_GT(by_blocking[1], 100);
+  }
+  EXPECT_GT(tied, 1000);
 }
 
 TEST(LiuLayland, KnownValues) {

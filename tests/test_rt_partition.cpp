@@ -3,6 +3,12 @@
 // failure cases.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
+#include <optional>
+#include <thread>
+#include <vector>
+
 #include "rt/analysis.h"
 #include "rt/partition.h"
 #include "util/rng.h"
@@ -171,3 +177,188 @@ TEST_P(PartitionProperty, LowLoadAlwaysPlaceable) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PartitionProperty,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88));
+
+// ---------------------------------------------------------------------------
+// The per-thread partition memo: every answer it gives (exact hits and the
+// neighboring-core-count answers for first-fit and best-fit) must equal a
+// fresh run of the heuristic.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+bool same_result(const std::optional<rt::Partition>& a, const std::optional<rt::Partition>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  return !a.has_value() || (a->num_cores == b->num_cores && a->core_of == b->core_of);
+}
+
+/// A partition computed with the memo flushed first: the memo holds one
+/// result per thread, so partitioning an unrelated set evicts it.
+std::optional<rt::Partition> fresh_partition(const std::vector<rt::RtTask>& tasks,
+                                             std::size_t cores,
+                                             const rt::PartitionOptions& options) {
+  rt::partition_rt_tasks({rt::make_rt_task("flush", 0.123, 7777.0)}, 1);
+  return rt::partition_rt_tasks(tasks, cores, options);
+}
+
+/// A random RT set with total utilization spread so that small core counts
+/// fail and large ones succeed.
+std::vector<rt::RtTask> memo_task_set(hydra::util::Xoshiro256& rng) {
+  std::vector<rt::RtTask> tasks;
+  const std::size_t n = 3 + static_cast<std::size_t>(rng.uniform_int(0, 17));
+  const double u_max = rng.uniform(0.15, 0.7);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double period = rng.uniform(10.0, 200.0);
+    tasks.push_back(rt::make_rt_task("t" + std::to_string(i),
+                                     rng.uniform(0.02, u_max) * period, period));
+  }
+  return tasks;
+}
+
+std::vector<rt::PartitionOptions> all_partition_options() {
+  std::vector<rt::PartitionOptions> all;
+  for (const auto strategy :
+       {rt::FitStrategy::kFirstFit, rt::FitStrategy::kBestFit, rt::FitStrategy::kWorstFit,
+        rt::FitStrategy::kNextFit}) {
+    for (const bool decreasing : {true, false}) {
+      rt::PartitionOptions options;
+      options.strategy = strategy;
+      options.decreasing_utilization = decreasing;
+      all.push_back(options);
+    }
+  }
+  return all;
+}
+
+constexpr std::size_t kMaxCores = 8;
+
+}  // namespace
+
+TEST(PartitionMemo, HitsAndNeighborAnswersEqualFreshRuns) {
+  hydra::util::Xoshiro256 rng(31337);
+  int derived_nullopt = 0, derived_value = 0;
+  for (int rep = 0; rep < 40; ++rep) {
+    const auto tasks = memo_task_set(rng);
+    for (const auto& options : all_partition_options()) {
+      // fresh[m] for m = 1..8, each with the memo flushed.
+      std::vector<std::optional<rt::Partition>> fresh(kMaxCores + 1);
+      for (std::size_t m = 1; m <= kMaxCores; ++m) {
+        fresh[m] = fresh_partition(tasks, m, options);
+        // The call right after a fresh one is an exact hit.
+        EXPECT_TRUE(same_result(rt::partition_rt_tasks(tasks, m, options), fresh[m]));
+      }
+      for (std::size_t m = 2; m <= kMaxCores; ++m) {
+        // (M−1) answered from a memoized M ...
+        fresh_partition(tasks, m, options);
+        const auto down = rt::partition_rt_tasks(tasks, m - 1, options);
+        EXPECT_TRUE(same_result(down, fresh[m - 1]))
+            << "rep " << rep << " strategy " << static_cast<int>(options.strategy) << " m " << m;
+        // ... and M answered from a memoized M−1.
+        fresh_partition(tasks, m - 1, options);
+        const auto up = rt::partition_rt_tasks(tasks, m, options);
+        EXPECT_TRUE(same_result(up, fresh[m]))
+            << "rep " << rep << " strategy " << static_cast<int>(options.strategy) << " m " << m;
+        ++(down.has_value() ? derived_value : derived_nullopt);
+      }
+    }
+  }
+  // Both outcomes of the derived answers are exercised.
+  EXPECT_GT(derived_nullopt, 100);
+  EXPECT_GT(derived_value, 100);
+}
+
+TEST(PartitionMemo, KeyCoversNumbersAndOptionsButNotNames) {
+  auto tasks = uniform_tasks(6, 0.3, 10.0);
+  const auto before = fresh_partition(tasks, 3, {});
+  for (auto& task : tasks) task.name += "-renamed";
+  EXPECT_TRUE(same_result(rt::partition_rt_tasks(tasks, 3, {}), before));
+  // One ulp more WCET is a different task set.
+  tasks[0].wcet = std::nextafter(tasks[0].wcet, 10.0);
+  EXPECT_TRUE(same_result(rt::partition_rt_tasks(tasks, 3, {}), fresh_partition(tasks, 3, {})));
+
+  // Switching between any two options back to back on one set never reuses
+  // the other option's partition.
+  hydra::util::Xoshiro256 rng(8080);
+  const auto options = all_partition_options();
+  int differing = 0;
+  for (int rep = 0; rep < 20; ++rep) {
+    const auto set = memo_task_set(rng);
+    for (std::size_t m = 1; m <= kMaxCores; ++m) {
+      std::vector<std::optional<rt::Partition>> fresh;
+      for (const auto& o : options) fresh.push_back(fresh_partition(set, m, o));
+      for (std::size_t a = 0; a < options.size(); ++a) {
+        for (std::size_t b = 0; b < options.size(); ++b) {
+          rt::partition_rt_tasks(set, m, options[a]);
+          EXPECT_TRUE(same_result(rt::partition_rt_tasks(set, m, options[b]), fresh[b]));
+          differing += same_result(fresh[a], fresh[b]) ? 0 : 1;
+        }
+      }
+    }
+  }
+  EXPECT_GT(differing, 100);
+}
+
+TEST(PartitionMemo, ThreadsInterleavingSetsReproduceSerialResults) {
+  hydra::util::Xoshiro256 rng(4242);
+  std::vector<std::vector<rt::RtTask>> sets;
+  for (int i = 0; i < 12; ++i) sets.push_back(memo_task_set(rng));
+  const auto options = all_partition_options();
+
+  // serial[s][o][m]
+  std::vector<std::vector<std::vector<std::optional<rt::Partition>>>> serial(sets.size());
+  for (std::size_t s = 0; s < sets.size(); ++s) {
+    serial[s].resize(options.size());
+    for (std::size_t o = 0; o < options.size(); ++o) {
+      serial[s][o].resize(kMaxCores + 1);
+      for (std::size_t m = 1; m <= kMaxCores; ++m) {
+        serial[s][o][m] = fresh_partition(sets[s], m, options[o]);
+      }
+    }
+  }
+
+  std::vector<int> mismatches(4, 0);
+  std::atomic<int> started{0};
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < 4; ++w) {
+    threads.emplace_back([&, w] {
+      // Start together so the workers' calls overlap in time.
+      ++started;
+      while (started.load() < 4) std::this_thread::yield();
+      // Each worker walks the sets in its own order and repeats calls, so
+      // exact hits, neighbor answers and misses all interleave across threads.
+      for (int round = 0; round < 6; ++round) {
+        for (std::size_t k = 0; k < sets.size(); ++k) {
+          const std::size_t s = (k * (w + 1) + w + static_cast<std::size_t>(round)) % sets.size();
+          for (std::size_t o = 0; o < options.size(); ++o) {
+            for (std::size_t step = 0; step < 2 * kMaxCores; ++step) {
+              const std::size_t m =
+                  1 + (step * (w + 3) + static_cast<std::size_t>(round)) % kMaxCores;
+              if (!same_result(rt::partition_rt_tasks(sets[s], m, options[o]), serial[s][o][m])) {
+                ++mismatches[w];
+              }
+            }
+          }
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (std::size_t w = 0; w < 4; ++w) EXPECT_EQ(mismatches[w], 0) << "worker " << w;
+}
+
+TEST(PartitionMemo, MalformedInputStillThrowsWhereTheMemoCouldAnswer) {
+  const auto tasks = uniform_tasks(3, 0.3, 10.0);
+  ASSERT_TRUE(rt::partition_rt_tasks(tasks, 1, {}).has_value());
+  // 0 cores would be the (M−1) neighbor of the memoized 1-core result.
+  EXPECT_THROW(rt::partition_rt_tasks(tasks, 0, {}), std::invalid_argument);
+
+  // A malformed set throws every time: validation runs before the lookup,
+  // so a rejected set is never memoized.
+  auto bad = tasks;
+  bad[2].deadline = bad[2].period * 2.0;  // D > T is outside the model
+  EXPECT_THROW(rt::partition_rt_tasks(bad, 2, {}), std::invalid_argument);
+  EXPECT_THROW(rt::partition_rt_tasks(bad, 2, {}), std::invalid_argument);
+  EXPECT_THROW(rt::partition_rt_tasks(bad, 3, {}), std::invalid_argument);
+
+  // The memo still answers the valid set afterwards.
+  EXPECT_TRUE(same_result(rt::partition_rt_tasks(tasks, 2, {}), fresh_partition(tasks, 2, {})));
+}
