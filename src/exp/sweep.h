@@ -76,13 +76,15 @@ struct SweepSpec {
   /// synthetic point with the same core count, at the same instance index
   /// (exp/scp_warm.h).  The seed is a pure function of the spec (computed
   /// on demand behind a process-wide memo, never taken from another
-  /// worker's live progress), so rows stay byte-identical for any --jobs,
-  /// sharding, resume, or work-stealing order; and warm-derived results are
-  /// adopted only when materially better than the cold solve (gp/scp.h), so
-  /// flipping this flag leaves rows byte-identical too unless a warm start
-  /// legitimately improves a cell's optimum.  Excluded from
-  /// sweep_fingerprint for exactly that reason: like jobs/resume/sharding
-  /// it is solver plumbing, not a row-byte input.
+  /// worker's live progress), so with the flag fixed rows stay
+  /// byte-identical for any --jobs, sharding, resume, or work-stealing
+  /// order.  The flag itself is NOT output-invisible and NOT an
+  /// accelerator: warm points are added to the cold starts, which always
+  /// run, so it costs time (about 1.8× on the gp-joint benchmark spec), and
+  /// a warm-derived result that beats the cold best by more than the SCP
+  /// tolerance (gp/scp.h) changes the row (docs/architecture.md, "SCP warm
+  /// starts", has a measured cell).  It is still excluded from
+  /// sweep_fingerprint, like jobs/resume/sharding.
   bool scp_warm_start = true;
   /// GP solver backend (gp::SolverRegistry name) every cell's GP solves run
   /// through, installed as a gp::GpBackendScope around each unit.  "" means
@@ -149,7 +151,7 @@ ShardRef parse_shard_spec(const std::string& text);
 /// down to their task parameters, workload files down to their content),
 /// replications, base_seed, max_attempts, optimal_budget, and the metric
 /// names + identities (RowMetric::identity).  Sharding, job/resume
-/// plumbing, and the scp_warm_start accelerator are deliberately excluded —
+/// plumbing, and the scp_warm_start flag are deliberately excluded —
 /// all shards of one logical sweep share the fingerprint, which is how the
 /// merge tool refuses to union checkpoints from different specs.  Expects
 /// defaulted point labels (i.e. a `Sweep::spec()`, not a raw user spec).

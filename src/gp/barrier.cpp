@@ -8,71 +8,51 @@
 
 namespace hydra::gp {
 
-namespace {
-
-/// Barrier value φ_t(y) with gradient/Hessian; `feasible == false` (and value
-/// +inf) when y violates a constraint, so line searches reject such points.
-struct BarrierEval {
-  double value = std::numeric_limits<double>::infinity();
-  linalg::Vector grad;
-  linalg::Matrix hess;
-  bool feasible = false;
-};
-
-/// Value-only barrier evaluation for line searches: no derivative work, no
-/// matrix allocations.
-BarrierEval eval_barrier_value(const SmoothFn& f0, const std::vector<SmoothFn>& cons, double t,
-                               const linalg::Vector& y) {
-  BarrierEval out;
-  double value = t * f0(y, EvalLevel::kValue).value;
-  for (const auto& ci : cons) {
-    const double cv = ci(y, EvalLevel::kValue).value;
-    if (!(cv < 0.0)) return out;  // infeasible
-    value -= std::log(-cv);
-  }
-  out.value = value;
-  out.feasible = true;
-  return out;
-}
-
-/// Full barrier evaluation for Newton step assembly.
-BarrierEval eval_barrier_full(const SmoothFn& f0, const std::vector<SmoothFn>& cons, double t,
-                              const linalg::Vector& y) {
-  BarrierEval out;
+void eval_barrier(const SmoothFn& f0, const std::vector<SmoothFn>& constraints, double t,
+                  const linalg::Vector& y, EvalLevel level, BarrierEval& out) {
+  out.value = std::numeric_limits<double>::infinity();
+  out.feasible = false;
+  if (!y.all_finite()) return;
+  const bool full = level == EvalLevel::kFull;
   const std::size_t n = y.size();
+  FnEval& fn = out.fn;
 
-  const FnEval e0 = f0(y, EvalLevel::kFull);
-  double value = t * e0.value;
-  linalg::Vector grad = e0.grad;
-  grad *= t;
-  linalg::Matrix hess = e0.hess;
-  hess *= t;
-
-  for (const auto& ci : cons) {
-    const FnEval ei = ci(y, EvalLevel::kFull);
-    if (!(ei.value < 0.0)) return out;  // infeasible: value stays +inf
-    value -= std::log(-ei.value);
-    const double inv = 1.0 / (-ei.value);  // > 0
-    for (std::size_t k = 0; k < n; ++k) grad[k] += inv * ei.grad[k];
-    // ∇² of −log(−Fi) = (1/Fi²)·g gᵀ + (1/(−Fi))·H.
-    hess.add_outer(ei.grad, inv * inv);
-    hess.add_scaled(ei.hess, inv);
+  f0(y, level, fn);
+  double value = t * fn.value;
+  if (full) {
+    out.grad = fn.grad;
+    out.grad *= t;
+    if (fn.affine) {
+      out.hess.assign(n, n);
+    } else {
+      out.hess = fn.hess;
+      out.hess *= t;
+    }
   }
-
+  for (const auto& ci : constraints) {
+    ci(y, level, fn);
+    if (!(fn.value < 0.0)) return;  // infeasible
+    value -= std::log(-fn.value);
+    if (!full) continue;
+    const double inv = 1.0 / (-fn.value);  // > 0
+    for (std::size_t k = 0; k < n; ++k) out.grad[k] += inv * fn.grad[k];
+    // ∇² of −log(−Fi) = (1/Fi²)·g gᵀ + (1/(−Fi))·H.
+    out.hess.add_outer(fn.grad, inv * inv);
+    if (!fn.affine) out.hess.add_scaled(fn.hess, inv);
+  }
   out.value = value;
   out.feasible = true;
-  out.grad = std::move(grad);
-  out.hess = std::move(hess);
-  return out;
 }
-
-}  // namespace
 
 BarrierResult barrier_minimize(const SmoothFn& f0, const std::vector<SmoothFn>& constraints,
                                const linalg::Vector& y0, const BarrierOptions& opts) {
   HYDRA_REQUIRE(y0.size() > 0, "barrier_minimize: empty start point");
-  HYDRA_REQUIRE(eval_barrier_value(f0, constraints, opts.t0, y0).feasible,
-                "barrier_minimize: start point is not strictly feasible");
+  // `cur` holds the Newton point's full evaluation, `trial` the line search's
+  // value-only ones; their buffers live for the whole solve.
+  BarrierEval cur;
+  BarrierEval trial;
+  eval_barrier(f0, constraints, opts.t0, y0, EvalLevel::kValue, trial);
+  HYDRA_REQUIRE(trial.feasible, "barrier_minimize: start point is not strictly feasible");
 
   BarrierResult result;
   result.y = y0;
@@ -92,7 +72,7 @@ BarrierResult barrier_minimize(const SmoothFn& f0, const std::vector<SmoothFn>& 
   while (true) {
     // --- Inner loop: damped Newton on φ_t. ---
     for (int it = 0; it < opts.max_newton_per_stage; ++it) {
-      const BarrierEval cur = eval_barrier_full(f0, constraints, t, result.y);
+      eval_barrier(f0, constraints, t, result.y, EvalLevel::kFull, cur);
       HYDRA_ASSERT(cur.feasible, "iterate left the feasible region");
 
       neg_grad = cur.grad;
@@ -110,9 +90,9 @@ BarrierResult barrier_minimize(const SmoothFn& f0, const std::vector<SmoothFn>& 
         for (std::size_t i = 0; i < cand.size(); ++i) {
           cand[i] = result.y[i] + step_len * step[i];
         }
-        const BarrierEval ce = eval_barrier_value(f0, constraints, t, cand);
-        if (ce.feasible &&
-            ce.value <= cur.value - opts.armijo_alpha * step_len * decrement) {
+        eval_barrier(f0, constraints, t, cand, EvalLevel::kValue, trial);
+        if (trial.feasible &&
+            trial.value <= cur.value - opts.armijo_alpha * step_len * decrement) {
           result.y = cand;
           moved = true;
           break;
@@ -122,7 +102,8 @@ BarrierResult barrier_minimize(const SmoothFn& f0, const std::vector<SmoothFn>& 
       ++result.newton_steps;
       if (!moved) break;  // step too small to make progress at this t
 
-      const double obj = f0(result.y, EvalLevel::kValue).value;
+      f0(result.y, EvalLevel::kValue, trial.fn);
+      const double obj = trial.fn.value;
       if (obj < opts.unbounded_below) {
         result.status = BarrierStatus::kUnbounded;
         result.objective = obj;
@@ -130,7 +111,8 @@ BarrierResult barrier_minimize(const SmoothFn& f0, const std::vector<SmoothFn>& 
       }
     }
 
-    result.objective = f0(result.y, EvalLevel::kValue).value;
+    f0(result.y, EvalLevel::kValue, trial.fn);
+    result.objective = trial.fn.value;
     if (m == 0.0 || m / t < opts.duality_gap_tol) {
       result.status = BarrierStatus::kOptimal;
       return result;

@@ -11,9 +11,17 @@
 //
 // The functions are supplied through the `SmoothFn` callback so both the GP
 // phase-II problem (log-sum-exp functions) and the phase-I feasibility
-// problem (log-sum-exp minus a slack variable) reuse the same machinery.
-// Line searches request value-only evaluations (EvalLevel::kValue), which
-// implementations should serve without computing derivatives.
+// problem (log-sum-exp minus a slack variable) run through this one loop.
+//
+// Callback contract.  A SmoothFn writes its evaluation into a caller-owned
+// FnEval that the barrier reuses across calls and functions, so callbacks
+// should assign into its buffers (Vector::assign, Matrix::assign) rather than
+// replace them.  Line searches request value-only evaluations
+// (EvalLevel::kValue): write `value` and nothing else.  Newton steps request
+// EvalLevel::kFull: write `value`, `grad` (sized to y) and `affine`, and
+// `hess` unless `affine` is set — an affine function's Hessian is exactly
+// zero, so the barrier skips it.  The compiled GP functions of gp/log_space.h
+// follow this contract.
 #pragma once
 
 #include <functional>
@@ -30,15 +38,18 @@ enum class EvalLevel {
   kFull,   ///< value, gradient and Hessian (Newton step assembly)
 };
 
-/// Value / gradient / Hessian bundle of a smooth scalar function.
+/// Value / gradient / Hessian of a smooth scalar function, in caller-owned
+/// buffers that successive evaluations overwrite.
 struct FnEval {
   double value = 0.0;
-  linalg::Vector grad;
-  linalg::Matrix hess;  ///< filled only for EvalLevel::kFull
+  linalg::Vector grad;  ///< kFull: ∇F(y)
+  linalg::Matrix hess;  ///< kFull and !affine: ∇²F(y)
+  bool affine = false;  ///< kFull: ∇²F ≡ 0 and `hess` was not written
+  std::vector<double> scratch;  ///< callee workspace, kept between calls
 };
 
-/// Callback evaluating a smooth convex function at y.
-using SmoothFn = std::function<FnEval(const linalg::Vector& y, EvalLevel level)>;
+/// Callback evaluating a smooth convex function at y into `out`.
+using SmoothFn = std::function<void(const linalg::Vector& y, EvalLevel level, FnEval& out)>;
 
 struct BarrierOptions {
   double t0 = 8.0;              ///< initial barrier weight
@@ -68,6 +79,22 @@ struct BarrierResult {
   double objective = 0.0;    ///< F0 at the final iterate
   int newton_steps = 0;      ///< total Newton iterations across stages
 };
+
+/// φ_t at one point, with the buffers of the evaluations behind it.
+struct BarrierEval {
+  double value = 0.0;
+  bool feasible = false;  ///< false: y violates a constraint (value is +inf)
+  linalg::Vector grad;    ///< kFull only
+  linalg::Matrix hess;    ///< kFull only
+  FnEval fn;              ///< scratch for the F0/Fi evaluations
+};
+
+/// Evaluates φ_t(y) = t·F0(y) − Σ log(−Fi(y)) into `out` (gradient and Hessian
+/// too at EvalLevel::kFull).  A point with a non-finite coordinate counts as
+/// infeasible.  barrier_minimize is built on this; it is public so the
+/// differential tests can compare its arithmetic with a reference.
+void eval_barrier(const SmoothFn& f0, const std::vector<SmoothFn>& constraints, double t,
+                  const linalg::Vector& y, EvalLevel level, BarrierEval& out);
 
 /// Minimizes F0 over {y : Fi(y) < 0 ∀i} starting from the *strictly feasible*
 /// point y0.  Throws std::invalid_argument if y0 is not strictly feasible.

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "gp/barrier.h"
+#include "gp/log_space.h"
 #include "linalg/cholesky.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
@@ -42,48 +43,36 @@ std::vector<double> to_positive_point(const linalg::Vector& y) {
   return x;
 }
 
-/// Full first/second-order picture of the log-space program at one iterate.
+/// Full first/second-order picture of the log-space program at one iterate,
+/// in buffers allocated once per solve.  An affine function's Hessian is
+/// zero and never read.
 struct Eval {
-  double f0 = 0.0;
-  linalg::Vector g0;
-  linalg::Matrix h0;
-  std::vector<double> f;         ///< Fi(y)
-  std::vector<linalg::Vector> g; ///< ∇Fi(y)
-  std::vector<linalg::Matrix> h; ///< ∇²Fi(y)
+  FnEval obj;
+  std::vector<FnEval> cons;
 
-  bool finite(std::size_t n) const {
-    if (!std::isfinite(f0) || !g0.all_finite()) return false;
-    for (double v : f) {
-      if (!std::isfinite(v)) return false;
+  explicit Eval(std::size_t m) : cons(m) {}
+
+  bool finite() const {
+    if (!std::isfinite(obj.value) || !obj.grad.all_finite()) return false;
+    for (const auto& c : cons) {
+      if (!std::isfinite(c.value) || !c.grad.all_finite()) return false;
     }
-    for (const auto& gi : g) {
-      if (!gi.all_finite()) return false;
-    }
+    if (obj.affine) return true;
+    const std::size_t n = obj.grad.size();
     for (std::size_t r = 0; r < n; ++r) {
       for (std::size_t c = 0; c < n; ++c) {
-        if (!std::isfinite(h0(r, c))) return false;
+        if (!std::isfinite(obj.hess(r, c))) return false;
       }
     }
     return true;
   }
 };
 
-Eval evaluate(const GpProblem& problem, const linalg::Vector& y) {
-  Eval e;
-  LogEval obj = problem.objective().log_eval(y, /*need_hess=*/true);
-  e.f0 = obj.value;
-  e.g0 = std::move(obj.grad);
-  e.h0 = std::move(obj.hess);
-  e.f.reserve(problem.constraints().size());
-  e.g.reserve(problem.constraints().size());
-  e.h.reserve(problem.constraints().size());
-  for (const auto& c : problem.constraints()) {
-    LogEval le = c.log_eval(y, /*need_hess=*/true);
-    e.f.push_back(le.value);
-    e.g.push_back(std::move(le.grad));
-    e.h.push_back(std::move(le.hess));
+void evaluate(const LogSpaceProgram& program, const linalg::Vector& y, Eval& e) {
+  program.objective.eval(y, EvalLevel::kFull, e.obj);
+  for (std::size_t i = 0; i < e.cons.size(); ++i) {
+    program.constraints[i].eval(y, EvalLevel::kFull, e.cons[i]);
   }
-  return e;
 }
 
 /// IPOPT-style scaled KKT errors at (y, s, λ).
@@ -97,19 +86,19 @@ struct Residuals {
 
 Residuals compute_residuals(const Eval& e, const linalg::Vector& s,
                             const linalg::Vector& lam, double mu) {
-  const std::size_t n = e.g0.size();
-  const std::size_t m = e.f.size();
+  const std::size_t n = e.obj.grad.size();
+  const std::size_t m = e.cons.size();
   Residuals r;
-  linalg::Vector rd = e.g0;
+  linalg::Vector rd = e.obj.grad;
   double lam_l1 = 0.0;
   r.worst = -std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) rd[j] += lam[i] * e.g[i][j];
+    for (std::size_t j = 0; j < n; ++j) rd[j] += lam[i] * e.cons[i].grad[j];
     lam_l1 += lam[i];
-    const double rp = e.f[i] + s[i];
+    const double rp = e.cons[i].value + s[i];
     r.theta += std::fabs(rp);
     r.primal_inf = std::fmax(r.primal_inf, std::fabs(rp));
-    r.worst = std::fmax(r.worst, e.f[i]);
+    r.worst = std::fmax(r.worst, e.cons[i].value);
     const double comp = s[i] * lam[i];
     r.e0 = std::fmax(r.e0, comp);
     r.e_mu = std::fmax(r.e_mu, std::fabs(comp - mu));
@@ -132,14 +121,19 @@ struct Merit {
   bool finite = false;
 };
 
-Merit trial_merit(const GpProblem& problem, const linalg::Vector& y,
-                  const linalg::Vector& s, double mu) {
+/// A trial y with a non-finite coordinate is not finite: F0 is ±inf or NaN
+/// there, so this early exit is the verdict the full evaluation would give.
+Merit trial_merit(const LogSpaceProgram& program, const linalg::Vector& y,
+                  const linalg::Vector& s, double mu, FnEval& scratch) {
   Merit m;
-  m.phi = problem.objective().log_value(y);
-  const auto& cons = problem.constraints();
+  if (!y.all_finite()) return m;
+  program.objective.eval(y, EvalLevel::kValue, scratch);
+  m.phi = scratch.value;
+  const auto& cons = program.constraints;
   for (std::size_t i = 0; i < cons.size(); ++i) {
     if (s[i] <= 0.0) return m;  // not finite: slack left the cone
-    m.theta += std::fabs(cons[i].log_value(y) + s[i]);
+    cons[i].eval(y, EvalLevel::kValue, scratch);
+    m.theta += std::fabs(scratch.value + s[i]);
     m.phi -= mu * std::log(s[i]);
   }
   m.finite = std::isfinite(m.theta) && std::isfinite(m.phi);
@@ -149,23 +143,11 @@ Merit trial_merit(const GpProblem& problem, const linalg::Vector& y,
 /// Unconstrained programs have no slacks or multipliers; the damped-Newton
 /// machinery inside barrier_minimize (with an empty constraint set) is
 /// exactly the right tool, so delegate rather than duplicate it.
-SolveResult solve_unconstrained(const GpProblem& problem, const linalg::Vector& y0,
-                                const IpmOptions& options) {
+SolveResult solve_unconstrained(const GpProblem& problem, const LogSumExp& objective,
+                                const linalg::Vector& y0, const IpmOptions& options) {
   SolveResult result;
   try {
-    const Posynomial& objective = problem.objective();
-    const SmoothFn f0 = [&objective](const linalg::Vector& y, EvalLevel level) {
-      FnEval out;
-      if (level == EvalLevel::kValue) {
-        out.value = objective.log_value(y);
-        return out;
-      }
-      LogEval le = objective.log_eval(y, /*need_hess=*/true);
-      out.value = le.value;
-      out.grad = std::move(le.grad);
-      out.hess = std::move(le.hess);
-      return out;
-    };
+    const SmoothFn f0 = smooth_fn(objective);
     BarrierOptions bopts;
     bopts.newton_tol = options.tol;
     bopts.unbounded_below = options.unbounded_below;
@@ -173,16 +155,19 @@ SolveResult solve_unconstrained(const GpProblem& problem, const linalg::Vector& 
     result.newton_steps = br.newton_steps;
     switch (br.status) {
       case BarrierStatus::kOptimal:
-      case BarrierStatus::kMaxIterations:
+      case BarrierStatus::kMaxIterations: {
         result.x = to_positive_point(br.y);
         result.objective = problem.objective().eval(result.x);
-        result.kkt_residual = objective.log_eval(br.y, /*need_hess=*/false).grad.norm_inf();
+        FnEval at_optimum;
+        objective.eval(br.y, EvalLevel::kFull, at_optimum);
+        result.kkt_residual = at_optimum.grad.norm_inf();
         result.status = SolveStatus::kOptimal;
         if (br.status == BarrierStatus::kMaxIterations) {
           result.converged = false;
           result.message = "ipm: unconstrained Newton budget reached; returning best iterate";
         }
         return result;
+      }
       case BarrierStatus::kUnbounded:
         result.status = SolveStatus::kUnbounded;
         result.message = "ipm: unconstrained objective unbounded below";
@@ -216,7 +201,8 @@ SolveResult ipm_solve(const GpProblem& problem,
     y = to_log_point(*initial_guess);
   }
 
-  if (m == 0) return solve_unconstrained(problem, y, options);
+  const LogSpaceProgram program(problem);
+  if (m == 0) return solve_unconstrained(problem, program.objective, y, options);
 
   double mu = options.mu0;
   const double mu_min = options.tol / 10.0;
@@ -225,9 +211,11 @@ SolveResult ipm_solve(const GpProblem& problem,
   // Slack-form infeasible start: s covers the violation (or the actual slack
   // when the start is feasible), multipliers sit on the central path for μ.
   linalg::Vector s(m), lam(m);
+  FnEval scratch;
   {
     for (std::size_t i = 0; i < m; ++i) {
-      const double fi = problem.constraints()[i].log_value(y);
+      program.constraints[i].eval(y, EvalLevel::kValue, scratch);
+      const double fi = scratch.value;
       if (!std::isfinite(fi)) {
         result.status = SolveStatus::kError;
         result.message = "ipm: non-finite constraint value at the starting point";
@@ -249,15 +237,16 @@ SolveResult ipm_solve(const GpProblem& problem,
   double delta_last = 0.0;
   constexpr double kSigma = 1e10;  // multiplier safeguard corridor
 
+  Eval e(m);
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    const Eval e = evaluate(problem, y);
-    if (!e.finite(n)) {
+    evaluate(program, y, e);
+    if (!e.finite()) {
       result.status = SolveStatus::kError;
       result.message = "ipm: non-finite evaluation at iteration " + std::to_string(iter);
       result.newton_steps = iter;
       return result;
     }
-    if (e.f0 < options.unbounded_below || y.norm_inf() > options.diverged_log) {
+    if (e.obj.value < options.unbounded_below || y.norm_inf() > options.diverged_log) {
       result.status = SolveStatus::kUnbounded;
       result.message = "ipm: objective diverged towards -inf (log-space iterate escaped)";
       result.newton_steps = iter;
@@ -290,19 +279,20 @@ SolveResult ipm_solve(const GpProblem& problem,
     // Condensed primal-dual Newton system (W + JᵀDJ + δI) Δy = rhs with
     // D = diag(λ/s); Δs and Δλ recovered by back-substitution below.
     newton.assign(n, n);
-    newton += e.h0;
+    if (!e.obj.affine) newton += e.obj.hess;
     rhs.assign(n);
-    linalg::Vector rd = e.g0;
+    linalg::Vector rd = e.obj.grad;
     for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < n; ++j) rd[j] += lam[i] * e.g[i][j];
+      for (std::size_t j = 0; j < n; ++j) rd[j] += lam[i] * e.cons[i].grad[j];
     }
     for (std::size_t j = 0; j < n; ++j) rhs[j] = -rd[j];
     for (std::size_t i = 0; i < m; ++i) {
-      newton.add_scaled(e.h[i], lam[i]);
-      newton.add_outer(e.g[i], lam[i] / s[i]);
-      const double rp = e.f[i] + s[i];
+      const FnEval& ci = e.cons[i];
+      if (!ci.affine) newton.add_scaled(ci.hess, lam[i]);
+      newton.add_outer(ci.grad, lam[i] / s[i]);
+      const double rp = ci.value + s[i];
       const double w = mu / s[i] - lam[i] + (lam[i] / s[i]) * rp;
-      for (std::size_t j = 0; j < n; ++j) rhs[j] -= w * e.g[i][j];
+      for (std::size_t j = 0; j < n; ++j) rhs[j] -= w * ci.grad[j];
     }
 
     // Inertia correction: grow a diagonal shift δ until the condensed matrix
@@ -333,8 +323,8 @@ SolveResult ipm_solve(const GpProblem& problem,
     linalg::cholesky_solve_into(ws.l, rhs, ws.y, ws.x);
     dy = ws.x;
     for (std::size_t i = 0; i < m; ++i) {
-      const double rp = e.f[i] + s[i];
-      const double jdy = dot(e.g[i], dy);
+      const double rp = e.cons[i].value + s[i];
+      const double jdy = dot(e.cons[i].grad, dy);
       ds[i] = -rp - jdy;
       dlam[i] = mu / s[i] - lam[i] + (lam[i] / s[i]) * (rp + jdy);
     }
@@ -350,8 +340,8 @@ SolveResult ipm_solve(const GpProblem& problem,
     // Filter line search on (θ, φ): accept a trial that improves feasibility
     // or the barrier objective past every filter entry and the current pair,
     // or that satisfies Armijo on φ along a descent direction.
-    double phi_k = e.f0;
-    double dphi = dot(e.g0, dy);
+    double phi_k = e.obj.value;
+    double dphi = dot(e.obj.grad, dy);
     for (std::size_t i = 0; i < m; ++i) {
       phi_k -= mu * std::log(s[i]);
       dphi -= (mu / s[i]) * ds[i];
@@ -366,7 +356,7 @@ SolveResult ipm_solve(const GpProblem& problem,
     for (int bt = 0; bt < options.max_backtracks; ++bt, alpha *= 0.5) {
       y_trial = y + alpha * dy;
       s_trial = s + alpha * ds;
-      trial = trial_merit(problem, y_trial, s_trial, mu);
+      trial = trial_merit(program, y_trial, s_trial, mu, scratch);
       if (!trial.finite || trial.theta > theta_max) continue;
       bool filter_ok = true;
       for (const auto& [ft, fp] : filter) {
@@ -426,7 +416,7 @@ SolveResult ipm_solve(const GpProblem& problem,
 
   // Budget exhausted: classify the final iterate the same way the stall path
   // does so callers always get a verdict plus diagnostics.
-  const Eval e = evaluate(problem, y);
+  evaluate(program, y, e);
   const Residuals res = compute_residuals(e, s, lam, mu);
   result.kkt_residual = res.e0;
   result.newton_steps = options.max_iterations;

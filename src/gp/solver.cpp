@@ -5,6 +5,7 @@
 #include <limits>
 #include <string>
 
+#include "gp/log_space.h"
 #include "util/contracts.h"
 
 namespace hydra::gp {
@@ -17,31 +18,6 @@ std::string format_diag(double v) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%g", v);
   return buffer;
-}
-
-/// Wraps a posynomial's log-space image as a SmoothFn.
-SmoothFn make_log_fn(const Posynomial& p) {
-  return [&p](const linalg::Vector& y, EvalLevel level) {
-    FnEval out;
-    if (level == EvalLevel::kValue) {
-      out.value = p.log_value(y);
-      return out;
-    }
-    LogEval le = p.log_eval(y, /*need_hess=*/true);
-    out.value = le.value;
-    out.grad = std::move(le.grad);
-    out.hess = std::move(le.hess);
-    return out;
-  };
-}
-
-/// Log-space constraint of a `p <= 1` posynomial constraint: F(y) = log p(e^y).
-/// Strict feasibility means F(y) < 0.
-std::vector<SmoothFn> make_constraint_fns(const GpProblem& problem) {
-  std::vector<SmoothFn> fns;
-  fns.reserve(problem.constraints().size());
-  for (const auto& c : problem.constraints()) fns.push_back(make_log_fn(c));
-  return fns;
 }
 
 linalg::Vector to_log_point(const std::vector<double>& x) {
@@ -59,10 +35,12 @@ std::vector<double> to_positive_point(const linalg::Vector& y) {
   return x;
 }
 
-double max_constraint_log(const GpProblem& problem, const linalg::Vector& y) {
+double max_constraint_log(const LogSpaceProgram& program, const linalg::Vector& y) {
+  FnEval scratch;
   double worst = -std::numeric_limits<double>::infinity();
-  for (const auto& c : problem.constraints()) {
-    worst = std::fmax(worst, c.log_value(y));
+  for (const auto& c : program.constraints) {
+    c.eval(y, EvalLevel::kValue, scratch);
+    worst = std::fmax(worst, scratch.value);
   }
   return worst;
 }
@@ -76,50 +54,29 @@ struct Phase1Outcome {
   int newton_steps = 0;
 };
 
-Phase1Outcome run_phase1(const GpProblem& problem, const linalg::Vector& y_start,
+Phase1Outcome run_phase1(const LogSpaceProgram& program, const linalg::Vector& y_start,
                          const SolveOptions& options) {
-  const std::size_t n = problem.num_variables();
+  const std::size_t n = y_start.size();
   const std::size_t ext = n + 1;  // extra slack variable s at index n
 
   // Objective: s (linear).
-  SmoothFn obj = [ext, n](const linalg::Vector& z, EvalLevel level) {
-    FnEval out;
+  SmoothFn obj = [n](const linalg::Vector& z, EvalLevel level, FnEval& out) {
     out.value = z[n];
     if (level == EvalLevel::kFull) {
-      out.grad = linalg::Vector(ext);
+      out.grad.assign(z.size());
       out.grad[n] = 1.0;
-      out.hess = linalg::Matrix(ext, ext);
+      out.affine = true;
     }
-    return out;
   };
 
+  // Constraints: F_i(y) − s.
   std::vector<SmoothFn> cons;
-  cons.reserve(problem.constraints().size());
-  for (const auto& c : problem.constraints()) {
-    cons.push_back([&c, n, ext](const linalg::Vector& z, EvalLevel level) {
-      linalg::Vector y(n);
-      for (std::size_t i = 0; i < n; ++i) y[i] = z[i];
-      FnEval out;
-      if (level == EvalLevel::kValue) {
-        out.value = c.log_value(y) - z[n];
-        return out;
-      }
-      const LogEval le = c.log_eval(y, /*need_hess=*/true);
-      out.value = le.value - z[n];
-      out.grad = linalg::Vector(ext);
-      for (std::size_t i = 0; i < n; ++i) out.grad[i] = le.grad[i];
-      out.grad[n] = -1.0;
-      out.hess = linalg::Matrix(ext, ext);
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) out.hess(i, j) = le.hess(i, j);
-      }
-      return out;
-    });
-  }
+  cons.reserve(program.constraints.size());
+  for (const auto& c : program.constraints) cons.push_back(minus_slack(c));
 
   linalg::Vector z0(ext);
   for (std::size_t i = 0; i < n; ++i) z0[i] = y_start[i];
-  z0[n] = max_constraint_log(problem, y_start) + 1.0;
+  z0[n] = max_constraint_log(program, y_start) + 1.0;
 
   BarrierOptions bopts = options.barrier;
   // Phase I only needs the sign of the optimum, not high accuracy.
@@ -156,10 +113,11 @@ SolveResult GpSolver::solve(const GpProblem& problem,
   // Wrapped like phase II below: a numerical failure inside the phase-I
   // barrier (near-singular Hessians on degenerate boxes) must surface as a
   // diagnosed kError, not an exception thrown past the caller.
+  const LogSpaceProgram program(problem);
   int phase1_steps = 0;
-  if (!problem.constraints().empty() && max_constraint_log(problem, y0) >= 0.0) {
+  if (!problem.constraints().empty() && max_constraint_log(program, y0) >= 0.0) {
     try {
-      const Phase1Outcome p1 = run_phase1(problem, y0, options_);
+      const Phase1Outcome p1 = run_phase1(program, y0, options_);
       phase1_steps = p1.newton_steps;
       if (!p1.feasible) {
         result.status = SolveStatus::kInfeasible;
@@ -179,8 +137,10 @@ SolveResult GpSolver::solve(const GpProblem& problem,
   }
 
   try {
-    const SmoothFn obj = make_log_fn(problem.objective());
-    const std::vector<SmoothFn> cons = make_constraint_fns(problem);
+    const SmoothFn obj = smooth_fn(program.objective);
+    std::vector<SmoothFn> cons;
+    cons.reserve(program.constraints.size());
+    for (const auto& c : program.constraints) cons.push_back(smooth_fn(c));
     const BarrierResult br = barrier_minimize(obj, cons, y0, options_.barrier);
     result.newton_steps = phase1_steps + br.newton_steps;
     switch (br.status) {

@@ -1,6 +1,9 @@
 #include "gp/terms.h"
 
 #include <cmath>
+#include <utility>
+
+#include "gp/log_space.h"
 
 namespace hydra::gp {
 
@@ -28,13 +31,6 @@ double Monomial::eval(const std::vector<double>& x) const {
     HYDRA_REQUIRE(x[i] > 0.0, "monomial variables must be positive");
     acc *= std::pow(x[i], exponents_[i]);
   }
-  return acc;
-}
-
-double Monomial::log_eval(const linalg::Vector& y) const {
-  HYDRA_REQUIRE(y.size() == exponents_.size(), "monomial log point size mismatch");
-  double acc = std::log(coeff_);
-  for (std::size_t i = 0; i < exponents_.size(); ++i) acc += exponents_[i] * y[i];
   return acc;
 }
 
@@ -81,54 +77,24 @@ double Posynomial::eval(const std::vector<double>& x) const {
 }
 
 LogEval Posynomial::log_eval(const linalg::Vector& y, bool need_hess) const {
-  HYDRA_REQUIRE(!terms_.empty(), "cannot evaluate the log of an empty posynomial");
-  const std::size_t n = num_vars_;
-  const std::size_t k = terms_.size();
-
-  // u_k = a_kᵀ y + log c_k, max-shifted for stability.
-  std::vector<double> u(k);
-  double u_max = -1e308;
-  for (std::size_t t = 0; t < k; ++t) {
-    u[t] = terms_[t].log_eval(y);
-    u_max = std::fmax(u_max, u[t]);
-  }
-  double wsum = 0.0;
-  std::vector<double> w(k);
-  for (std::size_t t = 0; t < k; ++t) {
-    w[t] = std::exp(u[t] - u_max);
-    wsum += w[t];
-  }
-
+  HYDRA_REQUIRE(y.size() == num_vars_, "posynomial log point size mismatch");
+  FnEval e;
+  LogSumExp(*this).eval(y, EvalLevel::kFull, e);
   LogEval out;
-  out.value = u_max + std::log(wsum);
-  out.grad = linalg::Vector(n);
-  for (std::size_t t = 0; t < k; ++t) {
-    const double p = w[t] / wsum;  // softmax weight
-    for (std::size_t i = 0; i < n; ++i) out.grad[i] += p * terms_[t].exponent(i);
-  }
-
+  out.value = e.value;
+  out.grad = std::move(e.grad);
   if (need_hess) {
-    // H = Σ p_k a_k a_kᵀ − g gᵀ  (positive semidefinite).
-    out.hess = linalg::Matrix(n, n);
-    linalg::Vector a(n);
-    for (std::size_t t = 0; t < k; ++t) {
-      const double p = w[t] / wsum;
-      for (std::size_t i = 0; i < n; ++i) a[i] = terms_[t].exponent(i);
-      out.hess.add_outer(a, p);
-    }
-    out.hess.add_outer(out.grad, -1.0);
+    out.hess = e.affine ? linalg::Matrix(num_vars_, num_vars_) : std::move(e.hess);
     out.has_hess = true;
   }
   return out;
 }
 
 double Posynomial::log_value(const linalg::Vector& y) const {
-  HYDRA_REQUIRE(!terms_.empty(), "cannot evaluate the log of an empty posynomial");
-  double u_max = -1e308;
-  for (const auto& t : terms_) u_max = std::fmax(u_max, t.log_eval(y));
-  double wsum = 0.0;
-  for (const auto& t : terms_) wsum += std::exp(t.log_eval(y) - u_max);
-  return u_max + std::log(wsum);
+  HYDRA_REQUIRE(y.size() == num_vars_, "posynomial log point size mismatch");
+  FnEval e;
+  LogSumExp(*this).eval(y, EvalLevel::kValue, e);
+  return e.value;
 }
 
 Posynomial Posynomial::times(const Monomial& m) const {

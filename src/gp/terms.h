@@ -4,8 +4,9 @@
 // coefficient c > 0 and arbitrary real exponents a_i.  A *posynomial* is a sum
 // of monomials.  Under the substitution x_i = exp(y_i) a monomial becomes
 // exp(aᵀy + log c) and a posynomial's logarithm becomes a log-sum-exp —
-// a smooth convex function.  This header provides both representations plus
-// the value/gradient/Hessian evaluations the barrier solver needs.
+// a smooth convex function.  This header provides the original-domain
+// representation; the solvers evaluate the log-space image through the
+// compiled kernel of gp/log_space.h, which log_eval/log_value also use.
 //
 // This mirrors what GPkit [20] does symbolically in Python; exponents are
 // stored densely because HYDRA's programs have at most a few dozen variables.
@@ -39,9 +40,6 @@ class Monomial {
 
   /// Value in the original (positive-orthant) domain.
   double eval(const std::vector<double>& x) const;
-
-  /// log of the monomial at log-point y:  aᵀy + log c.
-  double log_eval(const linalg::Vector& y) const;
 
   /// Product of two monomials (exponents add, coefficients multiply).
   friend Monomial operator*(const Monomial& a, const Monomial& b);
@@ -85,11 +83,10 @@ class Posynomial {
 
   /// Log-space value, gradient and (optionally) Hessian at y.
   /// Uses the max-shifted softmax formulation for numerical stability.
+  /// Compiles the kernel per call; solvers compile once per solve instead.
   LogEval log_eval(const linalg::Vector& y, bool need_hess) const;
 
-  /// Value-only fast path of log_eval — no gradient, no allocations beyond
-  /// the per-term scratch.  Used by the solver's line searches, which only
-  /// test feasibility and descent.
+  /// Value-only log_eval.
   double log_value(const linalg::Vector& y) const;
 
   /// Multiplies every term by a monomial (posynomial × monomial is closed).

@@ -24,6 +24,10 @@ class Matrix {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
 
+  /// Row-major storage, for kernels that index it without bounds checks.
+  double* data() { return data_.data(); }
+  const double* data() const { return data_.data(); }
+
   /// Reshapes to rows×cols with every entry set to `value`, reusing the
   /// existing allocation when capacity allows — the reset path for
   /// caller-owned scratch buffers.

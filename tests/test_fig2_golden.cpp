@@ -1,11 +1,16 @@
-// Synthetic golden rows: a thinned Fig. 2 sweep (hydra, single-core over
-// M = 2, 4, 8, every third point of the 39-point utilization axis, two task
-// sets per point) whose raw JSONL row stream is diffed byte for byte against
-// a committed golden.  The corpus golden (test_sweep_golden) covers file
-// instances, mostly on two cores; this one pins the synthetic generator, the
-// Eq. (1) screen and the RT partitioning on wider platforms.
+// Synthetic golden rows: thinned synthetic sweeps whose raw JSONL row streams
+// are diffed byte for byte against committed goldens.  The corpus golden
+// (test_sweep_golden) covers file instances, mostly on two cores; these pin
+// the synthetic generator, the Eq. (1) screen, the RT partitioning and the GP
+// period solves.  Two cases:
 //
-// After an INTENTIONAL behaviour change, regenerate the golden file with
+//   Fig2   hydra, single-core over M = 2, 4, 8 (every third point of each
+//          utilization axis, two task sets per point, seed 7)
+//   GpJoint hydra/gp, period-adapt/gp, single-core/joint at M = 2 (every third
+//          point, two task sets per point, seed 15, SCP warm starts at their
+//          default) — the only golden whose rows run through the GP solvers
+//
+// After an INTENTIONAL behaviour change, regenerate the golden files with
 //
 //     HYDRA_UPDATE_GOLDEN=1 ./build/test_fig2_golden
 //
@@ -22,16 +27,37 @@ namespace hexp = hydra::exp;
 
 namespace {
 
-const std::string kGoldenPath =
-    std::string(HYDRA_SOURCE_DIR) + "/tests/golden/fig2_synthetic_rows.jsonl";
+struct GoldenCase {
+  std::string name;
+  std::string file;  ///< under tests/golden/
+  std::vector<std::string> schemes;
+  std::vector<std::size_t> cores;
+  std::uint64_t seed;
+};
 
-hexp::SweepSpec thinned_fig2_spec(std::size_t jobs) {
+const std::vector<GoldenCase>& golden_cases() {
+  static const std::vector<GoldenCase> cases = {
+      {"Fig2", "fig2_synthetic_rows.jsonl", {"hydra", "single-core"}, {2, 4, 8}, 7},
+      {"GpJoint",
+       "gp_joint_rows.jsonl",
+       {"hydra/gp", "period-adapt/gp", "single-core/joint"},
+       {2},
+       15},
+  };
+  return cases;
+}
+
+std::string golden_path(const GoldenCase& c) {
+  return std::string(HYDRA_SOURCE_DIR) + "/tests/golden/" + c.file;
+}
+
+hexp::SweepSpec thinned_spec(const GoldenCase& c, std::size_t jobs) {
   hexp::SweepSpec spec;
-  spec.schemes = {"hydra", "single-core"};
+  spec.schemes = c.schemes;
   spec.replications = 2;
-  spec.base_seed = 7;
+  spec.base_seed = c.seed;
   spec.jobs = jobs;
-  for (const std::size_t m : {2, 4, 8}) {
+  for (const std::size_t m : c.cores) {
     hydra::gen::SyntheticConfig config;
     config.num_cores = m;
     const auto axis = hexp::utilization_axis(m);
@@ -42,10 +68,10 @@ hexp::SweepSpec thinned_fig2_spec(std::size_t jobs) {
   return spec;
 }
 
-std::string run_rows(std::size_t jobs) {
+std::string run_rows(const GoldenCase& c, std::size_t jobs) {
   std::ostringstream os;
   hexp::JsonlSink sink(os);
-  hexp::Sweep(thinned_fig2_spec(jobs)).run({&sink});
+  hexp::Sweep(thinned_spec(c, jobs)).run({&sink});
   return os.str();
 }
 
@@ -56,28 +82,36 @@ std::string read_file(const std::string& path) {
   return out.str();
 }
 
+class GoldenRows : public ::testing::TestWithParam<GoldenCase> {};
+
 }  // namespace
 
-TEST(Fig2Golden, RowsMatchCommittedGolden) {
-  const std::string actual = run_rows(1);
+TEST_P(GoldenRows, RowsMatchCommittedGolden) {
+  const GoldenCase& c = GetParam();
+  const std::string actual = run_rows(c, 1);
   ASSERT_FALSE(actual.empty());
 
   if (std::getenv("HYDRA_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(kGoldenPath);
+    std::ofstream out(golden_path(c));
     out << actual;
-    GTEST_SKIP() << "golden file regenerated at " << kGoldenPath;
+    GTEST_SKIP() << "golden file regenerated at " << golden_path(c);
   }
 
-  const std::string expected = read_file(kGoldenPath);
-  ASSERT_FALSE(expected.empty()) << "missing golden file " << kGoldenPath
+  const std::string expected = read_file(golden_path(c));
+  ASSERT_FALSE(expected.empty()) << "missing golden file " << golden_path(c)
                                  << " — run with HYDRA_UPDATE_GOLDEN=1 to create it";
   EXPECT_EQ(actual, expected)
-      << "thinned Fig. 2 sweep diverged from the committed golden JSONL; if the "
-         "change is intentional, regenerate with HYDRA_UPDATE_GOLDEN=1 and review "
-         "the diff";
+      << "thinned " << c.name << " sweep diverged from the committed golden JSONL; if the "
+      << "change is intentional, regenerate with HYDRA_UPDATE_GOLDEN=1 and review the diff";
 }
 
-TEST(Fig2Golden, RowsAreIndependentOfJobCount) {
+TEST_P(GoldenRows, RowsAreIndependentOfJobCount) {
   // Workers carry per-thread memos; the row stream must not notice them.
-  EXPECT_EQ(run_rows(1), run_rows(4));
+  const GoldenCase& c = GetParam();
+  EXPECT_EQ(run_rows(c, 1), run_rows(c, 4));
 }
+
+INSTANTIATE_TEST_SUITE_P(Synthetic, GoldenRows, ::testing::ValuesIn(golden_cases()),
+                         [](const ::testing::TestParamInfo<GoldenCase>& info) {
+                           return info.param.name;
+                         });

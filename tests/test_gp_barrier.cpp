@@ -1,9 +1,11 @@
 // Direct tests of the barrier interior-point core (below the GP wrapper):
 // known convex programs, strict-feasibility enforcement, unboundedness, and
-// the value-only / full evaluation contract.
+// the value-only / full evaluation contract (callbacks fill a caller-owned
+// FnEval; affine ones leave the Hessian unwritten).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "gp/barrier.h"
 
@@ -14,37 +16,35 @@ namespace {
 
 /// f(y) = Σ (y_i − c_i)² — smooth, strongly convex, minimum at c.
 gp::SmoothFn quadratic(std::vector<double> center) {
-  return [center](const la::Vector& y, gp::EvalLevel level) {
-    gp::FnEval out;
+  return [center](const la::Vector& y, gp::EvalLevel level, gp::FnEval& out) {
     const std::size_t n = y.size();
+    out.value = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       const double d = y[i] - center[i];
       out.value += d * d;
     }
     if (level == gp::EvalLevel::kFull) {
-      out.grad = la::Vector(n);
-      out.hess = la::Matrix(n, n);
+      out.grad.assign(n);
+      out.hess.assign(n, n);
+      out.affine = false;
       for (std::size_t i = 0; i < n; ++i) {
         out.grad[i] = 2.0 * (y[i] - center[i]);
         out.hess(i, i) = 2.0;
       }
     }
-    return out;
   };
 }
 
 /// Linear constraint a·y + b < 0.
 gp::SmoothFn halfspace(std::vector<double> a, double b) {
-  return [a, b](const la::Vector& y, gp::EvalLevel level) {
-    gp::FnEval out;
+  return [a, b](const la::Vector& y, gp::EvalLevel level, gp::FnEval& out) {
     out.value = b;
     for (std::size_t i = 0; i < y.size(); ++i) out.value += a[i] * y[i];
     if (level == gp::EvalLevel::kFull) {
-      out.grad = la::Vector(y.size());
+      out.grad.assign(y.size());
       for (std::size_t i = 0; i < y.size(); ++i) out.grad[i] = a[i];
-      out.hess = la::Matrix(y.size(), y.size());
+      out.affine = true;
     }
-    return out;
   };
 }
 
@@ -117,20 +117,19 @@ TEST(Barrier, ValueLevelNeverAsksForDerivatives) {
   // callback that *counts* full evaluations shows line searches stay cheap.
   int full_evals = 0;
   int value_evals = 0;
-  const auto counting = [&](const la::Vector& y, gp::EvalLevel level) {
-    gp::FnEval out;
+  const auto counting = [&](const la::Vector& y, gp::EvalLevel level, gp::FnEval& out) {
     const double d = y[0] - 2.0;
     out.value = d * d;
     if (level == gp::EvalLevel::kFull) {
       ++full_evals;
-      out.grad = la::Vector(1);
+      out.grad.assign(1);
       out.grad[0] = 2.0 * d;
-      out.hess = la::Matrix(1, 1);
+      out.hess.assign(1, 1);
       out.hess(0, 0) = 2.0;
+      out.affine = false;
     } else {
       ++value_evals;
     }
-    return out;
   };
   la::Vector y0(1);
   const auto r = gp::barrier_minimize(counting, {}, y0);
@@ -158,4 +157,21 @@ TEST(Barrier, TighterToleranceGivesBetterCentering) {
   EXPECT_GT(r_loose.y[0], 0.0);
   EXPECT_GT(r_tight.y[0], 0.0);
   EXPECT_LE(r_tight.y[0], r_loose.y[0] + 1e-9);
+}
+
+TEST(Barrier, NonFinitePointIsInfeasible) {
+  // Line searches never hand a non-finite trial point to the callbacks: it
+  // counts as infeasible, even with no constraint to violate.
+  gp::BarrierEval out;
+  la::Vector y(2);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    y[1] = bad;
+    for (const auto level : {gp::EvalLevel::kValue, gp::EvalLevel::kFull}) {
+      gp::eval_barrier(quadratic({0.0, 0.0}), {}, 8.0, y, level, out);
+      EXPECT_FALSE(out.feasible);
+      EXPECT_EQ(out.value, std::numeric_limits<double>::infinity());
+    }
+  }
 }

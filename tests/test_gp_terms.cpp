@@ -47,7 +47,7 @@ TEST(Monomial, LogEvalMatchesLogOfEval) {
   const std::vector<double> x{1.5, 2.5, 0.5};
   la::Vector y(3);
   for (std::size_t i = 0; i < 3; ++i) y[i] = std::log(x[i]);
-  EXPECT_NEAR(m.log_eval(y), std::log(m.eval(x)), 1e-12);
+  EXPECT_NEAR(gp::Posynomial(m).log_value(y), std::log(m.eval(x)), 1e-12);
 }
 
 TEST(Posynomial, EvalIsSumOfTerms) {
