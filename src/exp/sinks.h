@@ -56,9 +56,14 @@ struct BatchRow {
 
 /// Parses one line previously produced by JsonlSink back into a BatchRow.
 /// Returns nullopt for anything malformed or truncated (the resume loader
-/// treats such lines as "cell not completed").  Round-trips exactly:
-/// re-serializing the parsed row yields byte-identical JSONL, which is what
-/// lets --resume splice checkpointed rows into a fresh run.
+/// treats such lines as "cell not completed").  A line JsonlSink wrote
+/// round-trips exactly: re-serializing the parsed row yields the same bytes,
+/// which is what lets --resume splice checkpointed rows into a fresh run.
+/// The parser is looser than the writer (keys may be missing or reordered,
+/// numbers may carry extra digits, strings may hold raw control bytes), so
+/// for any other accepted line only the re-serialized form is canonical: it
+/// parses back to a row that re-serializes to the same bytes
+/// (test_parser_fuzz).
 std::optional<BatchRow> parse_jsonl_row(const std::string& line);
 
 /// Sinks are re-usable across several sweep runs (a bench may pass the same

@@ -141,6 +141,10 @@ std::string sweep_fingerprint(const SweepSpec& spec) {
   put("controller-policy=" + (spec.controller_policy.empty()
                                   ? std::string(sim::kDefaultControllerPolicy)
                                   : spec.controller_policy));
+  // Warm starts can move a GP row, so a run without them is a different
+  // sweep.  Stamped only when off: every default-spec fingerprint, and every
+  // checkpoint written under one, stays valid.
+  if (!spec.scp_warm_start) put("scp-warm=off");
   // Name AND identity: two metric families sharing names but baked with
   // different parameters (trials, horizons, thresholds) yield different row
   // bytes, and only the identity string reveals that.
@@ -244,6 +248,9 @@ struct HeaderCursor {
     while (pos < text.size()) {
       const char c = text[pos++];
       if (c == '"') return true;
+      // json_escape writes control bytes as \u00xx, which no header string
+      // needs; a raw one could not survive a re-format.
+      if (static_cast<unsigned char>(c) < 0x20) return false;
       if (c != '\\') {
         out += c;
         continue;

@@ -83,8 +83,10 @@ struct SweepSpec {
   /// run, so it costs time (about 1.8× on the gp-joint benchmark spec), and
   /// a warm-derived result that beats the cold best by more than the SCP
   /// tolerance (gp/scp.h) changes the row (docs/architecture.md, "SCP warm
-  /// starts", has a measured cell).  It is still excluded from
-  /// sweep_fingerprint, like jobs/resume/sharding.
+  /// starts", has a measured cell).  So it IS a row-byte input:
+  /// sweep_fingerprint stamps it when off (on, the default, adds nothing, so
+  /// default-spec checkpoints keep their fingerprint), and checkpoints
+  /// written with the other setting refuse to resume or merge.
   bool scp_warm_start = true;
   /// GP solver backend (gp::SolverRegistry name) every cell's GP solves run
   /// through, installed as a gp::GpBackendScope around each unit.  "" means
@@ -150,8 +152,9 @@ ShardRef parse_shard_spec(const std::string& text);
 /// schemes (in order), every point's label and source (preset instances
 /// down to their task parameters, workload files down to their content),
 /// replications, base_seed, max_attempts, optimal_budget, and the metric
-/// names + identities (RowMetric::identity).  Sharding, job/resume
-/// plumbing, and the scp_warm_start flag are deliberately excluded —
+/// names + identities (RowMetric::identity), the resolved GP backend and
+/// controller policy, and scp_warm_start when it is off.  Sharding and
+/// job/resume plumbing are deliberately excluded —
 /// all shards of one logical sweep share the fingerprint, which is how the
 /// merge tool refuses to union checkpoints from different specs.  Expects
 /// defaulted point labels (i.e. a `Sweep::spec()`, not a raw user spec).

@@ -161,7 +161,8 @@ TEST_P(CatalogTest, RegistryShipsTheDocumentedNames) {
 }
 
 TEST_P(CatalogTest, UnknownNameMessageIsPinned) {
-  // Client-visible: the allocation daemon forwards this text verbatim.
+  // User-visible: a sweep given an unknown name stops with this text, the
+  // only place a user learns the valid names.
   const Catalog& c = GetParam();
   for (const auto& attempt : std::vector<std::function<void()>>{
            [&] { c.require(c.unknown); },

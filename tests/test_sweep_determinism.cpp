@@ -88,10 +88,11 @@ TEST(SweepDeterminism, AggregatesAreByteIdenticalAcrossJobCounts) {
 }
 
 TEST(SweepDeterminism, WarmStartsDoNotChangeRowBytes) {
-  // The SCP warm-start accelerator must be output-invisible: the grid above
-  // includes the `optimal` scheme (which solves kSignomialScp per assignment
-  // code), and the warm-vs-cold tie rule has to keep every row byte-identical
-  // whether the accelerator is on, off, or racing across 8 workers.
+  // The grid above includes the `optimal` scheme (which solves kSignomialScp
+  // per assignment code); on it the warm-vs-cold tie rule keeps every row
+  // byte-identical whether warm starts are on, off, or racing across 8
+  // workers.  That holds for this grid, not in general: the test below says
+  // why the flag is still a fingerprint input.
   auto cold = small_grid();
   cold.scp_warm_start = false;
   auto warm = small_grid();
@@ -109,19 +110,22 @@ TEST(SweepDeterminism, WarmStartsDoNotChangeRowBytes) {
   EXPECT_EQ(rows_warm, rows_warm8);
 }
 
-TEST(SweepDeterminism, WarmStartFlagDoesNotChangeFingerprint) {
-  // scp_warm_start is solver plumbing, not a row-byte input: toggling it must
-  // not invalidate checkpoints or shard merges.
+TEST(SweepDeterminism, WarmStartFlagIsARowByteInput) {
+  // Warm starts can move a GP row (docs/architecture.md, "SCP warm starts",
+  // has a measured cell), so checkpoints written with the flag on and off
+  // must not merge.  The default (on) adds nothing to the fingerprint, which
+  // keeps every default-spec checkpoint valid.
   auto on = small_grid();
   on.scp_warm_start = true;
   auto off = small_grid();
   off.scp_warm_start = false;
-  EXPECT_EQ(hexp::sweep_fingerprint(on), hexp::sweep_fingerprint(off));
+  EXPECT_NE(hexp::sweep_fingerprint(on), hexp::sweep_fingerprint(off));
+  EXPECT_EQ(hexp::sweep_fingerprint(on), hexp::sweep_fingerprint(small_grid()));
 }
 
 TEST(SweepDeterminism, GpBackendIsARowByteInput) {
   // The GP backend changes the numbers a sweep can produce, so it IS part of
-  // the fingerprint — unlike scp_warm_start/jobs above, which are plumbing.
+  // the fingerprint — unlike jobs, which is plumbing.
   // The empty spelling and the explicit default name are the same
   // configuration and must collide (the fingerprint stamps the resolved
   // name), so upgrading old specs to name the backend never orphans

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "util/cli.h"
 #include "util/contracts.h"
@@ -31,6 +32,21 @@ TEST(Contracts, MessageNamesExpressionAndLocation) {
     EXPECT_NE(msg.find("1 == 2"), std::string::npos);
     EXPECT_NE(msg.find("custom detail"), std::string::npos);
     EXPECT_NE(msg.find("test_util.cpp"), std::string::npos);
+  }
+}
+
+TEST(Contracts, LocationIsRelativeToTheSourceRoot) {
+  // Error-row notes carry this text, so it must not depend on where the
+  // checkout lives.
+  const int line = __LINE__ + 2;
+  try {
+    HYDRA_REQUIRE(false, "");
+    FAIL() << "should have thrown";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(" at tests/test_util.cpp:" + std::to_string(line)),
+              std::string::npos)
+        << msg;
   }
 }
 

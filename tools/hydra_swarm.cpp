@@ -1,56 +1,38 @@
-// hydra_swarm: shard orchestrator + allocation-service front end.
+// hydra_swarm: shard orchestrator.
 //
-// Three subcommands (the first positional picks the mode):
-//
-//   sweep — fan a sharded sweep command out over N local worker processes,
-//   restart the dead and the wedged (bounded retries, exponential backoff),
-//   surface live partials, and emit a final merged stream byte-identical to
-//   the single-process run:
+// One mode, `sweep`, named by the first positional: fan a sharded sweep
+// command out over N local worker processes, restart the dead and the wedged
+// (bounded retries, exponential backoff), surface live partials, and emit a
+// final merged stream byte-identical to the single-process run:
 //
 //     hydra_swarm sweep --shards 3 --dir /tmp/swarm --out merged.jsonl
 //         -- ./build/bench_fig2_acceptance --replications 20
 //
-//   Everything after `--` is the worker command; the orchestrator appends
-//   `--shard i/N --out <dir>/shard_i.jsonl --resume <dir>/shard_i.jsonl` per
-//   worker, so any sweep tool that understands those three flags can swarm.
+// Everything after `--` is the worker command; the orchestrator appends
+// `--shard i/N --out <dir>/shard_i.jsonl --resume <dir>/shard_i.jsonl` per
+// worker, so any sweep tool that understands those three flags can swarm.
 //
-//   With `--launcher` the workers run through a launcher template instead of
-//   a plain local fork/exec — `{cmd}` becomes the shell-quoted worker
-//   command, `{host}` round-robins over `--hosts`:
+// With `--launcher` the workers run through a launcher template instead of a
+// plain local fork/exec — `{cmd}` becomes the shell-quoted worker command,
+// `{host}` round-robins over `--hosts`:
 //
 //     hydra_swarm sweep --shards 8 --dir /nfs/swarm
 //         --launcher "ssh {host} {cmd}" --hosts m1,m2,m3,m4
 //         -- ./build/bench_fig2_acceptance --replications 20
 //
-//   The shard directory must live on a filesystem shared with every host
-//   (liveness and resume both read the checkpoints); `--launcher "sh -c
-//   {cmd}"` exercises the same path entirely locally (CI does).
+// The shard directory must live on a filesystem shared with every host
+// (liveness and resume both read the checkpoints); `--launcher "sh -c
+// {cmd}"` exercises the same path entirely locally (CI does).
 //
-//   serve — long-running allocation daemon over a Unix-domain socket,
-//   line-delimited JSON in/out, batching concurrent requests through one
-//   engine pass and caching responses by spec fingerprint:
-//
-//     hydra_swarm serve --socket /tmp/hydra.sock --schemes hydra,optimal
-//
-//   request — one-shot client for the daemon (shell recipes, CI smoke):
-//
-//     hydra_swarm request --socket /tmp/hydra.sock --taskset set.txt
-//     hydra_swarm request --socket /tmp/hydra.sock --stats
-//     hydra_swarm request --socket /tmp/hydra.sock --shutdown
-//
-// Exit codes: 0 success; 1 swarm/request failure (sweep mode prints the
-// salvage command before exiting); 2 usage error.
+// Exit codes: 0 success; 1 swarm failure (the salvage command is printed
+// before exiting); 2 usage error.
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "exp/sinks.h"
 #include "swarm/process.h"
-#include "swarm/service.h"
-#include "swarm/socket.h"
 #include "swarm/sweep_runner.h"
 #include "util/cli.h"
 
@@ -66,12 +48,7 @@ int usage(const std::string& program) {
       << "          [--stall-timeout S] [--backoff S] [--expect-fingerprint HEX]\n"
       << "          [--chaos-kill-shard I] [--chaos-after-cells N]\n"
       << "          [--launcher TEMPLATE] [--hosts h1,h2,...]\n"
-      << "          -- worker_command worker_args...\n"
-      << "  serve   --socket PATH [--schemes a,b] [--cache-bytes N] [--jobs N]\n"
-      << "          [--optimal-budget N] [--poll S] [--events F]\n"
-      << "          [--cache-journal F]\n"
-      << "  request --socket PATH (--taskset FILE [--schemes a,b] | --stats |\n"
-      << "          --ping | --shutdown | --raw LINE)\n";
+      << "          -- worker_command worker_args...\n";
   return 2;
 }
 
@@ -147,109 +124,15 @@ int run_sweep(int argc, char** argv) {
   return 0;
 }
 
-int run_serve(int argc, char** argv) {
-  const hydra::util::CliParser cli(argc, argv, /*allow_positionals=*/true);
-  const std::string socket_path = cli.get_string("socket", "");
-  if (socket_path.empty()) {
-    std::cerr << "hydra_swarm serve: need --socket PATH\n";
-    return 2;
-  }
-
-  swarm::ServiceOptions service_options;
-  service_options.default_schemes =
-      cli.get_string_list("schemes", service_options.default_schemes);
-  service_options.cache_budget_bytes = static_cast<std::size_t>(cli.get_int(
-      "cache-bytes", static_cast<std::int64_t>(service_options.cache_budget_bytes)));
-  service_options.jobs = static_cast<std::size_t>(cli.get_int("jobs", 1));
-  service_options.optimal_budget = static_cast<std::size_t>(cli.get_int(
-      "optimal-budget", static_cast<std::int64_t>(service_options.optimal_budget)));
-  service_options.cache_journal_path = cli.get_string("cache-journal", "");
-
-  swarm::ServerOptions server_options;
-  server_options.socket_path = socket_path;
-  server_options.poll_interval_s = cli.get_double("poll", 0.25);
-
-  EventSink events(cli.get_string("events", ""));
-  swarm::EventLog log(events.stream);
-  swarm::AllocationService service(service_options);
-  if (!service_options.cache_journal_path.empty()) {
-    std::cerr << "hydra_swarm: replayed " << service.stats().journal_replayed
-              << " cached response(s) from "
-              << service_options.cache_journal_path << "\n";
-  }
-  swarm::ServiceServer server(service, server_options, log);
-  std::cerr << "hydra_swarm: serving on " << socket_path << "\n";
-  const std::size_t served = server.run();
-  std::cerr << "hydra_swarm: served " << served << " request(s); "
-            << service.stats().hits << " cache hit(s), "
-            << service.stats().misses << " miss(es)\n";
-  return 0;
-}
-
-int run_request(int argc, char** argv) {
-  const hydra::util::CliParser cli(
-      argc, argv, /*allow_positionals=*/true,
-      /*value_less_flags=*/{"stats", "ping", "shutdown"});
-  const std::string socket_path = cli.get_string("socket", "");
-  if (socket_path.empty()) {
-    std::cerr << "hydra_swarm request: need --socket PATH\n";
-    return 2;
-  }
-
-  std::string line;
-  if (cli.has("raw")) {
-    line = cli.get_string("raw", "");
-  } else if (cli.get_bool("stats", false)) {
-    line = "{\"op\":\"stats\"}";
-  } else if (cli.get_bool("ping", false)) {
-    line = "{\"op\":\"ping\"}";
-  } else if (cli.get_bool("shutdown", false)) {
-    line = "{\"op\":\"shutdown\"}";
-  } else if (cli.has("taskset")) {
-    const std::string path = cli.get_string("taskset", "");
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      std::cerr << "hydra_swarm request: cannot read taskset file: " << path << "\n";
-      return 1;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    line = "{\"op\":\"allocate\",\"taskset_text\":\"" +
-           hydra::exp::json_escape(text.str()) + "\"";
-    const auto schemes = cli.get_string_list("schemes", {});
-    if (!schemes.empty()) {
-      line += ",\"schemes\":[";
-      for (std::size_t i = 0; i < schemes.size(); ++i) {
-        if (i > 0) line += ",";
-        line += "\"" + hydra::exp::json_escape(schemes[i]) + "\"";
-      }
-      line += "]";
-    }
-    line += "}";
-  } else {
-    std::cerr << "hydra_swarm request: need --taskset, --stats, --ping,"
-                 " --shutdown or --raw\n";
-    return 2;
-  }
-
-  swarm::ServiceClient client(socket_path);
-  const std::string response = client.request(line);
-  std::cout << response << "\n";
-  // Scripts branch on the exit code without parsing JSON.
-  return response.rfind("{\"ok\":true", 0) == 0 ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
     if (argc < 2) return usage(argv[0]);
     const std::string mode = argv[1];
-    // Re-point argv so each mode parser sees `hydra_swarm-<mode>` as argv[0]
+    // Re-point argv so the mode parser sees `hydra_swarm-<mode>` as argv[0]
     // and the mode's own options from argv[1] on.
     if (mode == "sweep") return run_sweep(argc - 1, argv + 1);
-    if (mode == "serve") return run_serve(argc - 1, argv + 1);
-    if (mode == "request") return run_request(argc - 1, argv + 1);
     std::cerr << "hydra_swarm: unknown mode \"" << mode << "\"\n";
     return usage(argv[0]);
   } catch (const std::exception& error) {
